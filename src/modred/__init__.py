@@ -13,7 +13,6 @@ from .dual import (
     DualProblem,
     ErrorEstimate,
     error_estimate,
-    measure_gbar,
     solve_dual,
     stability_factors,
     validate_at_control_points,
@@ -41,8 +40,8 @@ from .reduction import (
     SubgridModel,
     assemble_reduced,
     auto_model,
-    build_reduced,
     fit_constant_subgrid,
+    measure_gbar,
     resolve_short,
 )
 from .system import (
@@ -75,7 +74,6 @@ __all__ = [
     "assemble_reduced",
     "auto_model",
     "average_trajectory",
-    "build_reduced",
     "diameter",
     "error_estimate",
     "evaluate_rhs",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import Array, DynamicalSystem, Trajectory, evaluate_rhs
+from .system import Array, DynamicalSystem, Trajectory, evaluate_rhs, interpolate
 
 
 @dataclass(frozen=True)
@@ -51,40 +51,38 @@ def _check_window(traj: Trajectory, w: AverageWindow) -> tuple[float, float]:
     return t0, t1
 
 
-def _cumulative_integral(times: Array, values: Array) -> Array:
-    """Exact integrals of the piecewise-linear interpolant up to each node."""
+def _segments(times: Array, values: Array) -> Array:
+    """Trapezoid integral of the piecewise-linear data over each interval."""
     dt = np.diff(times)
-    segment = 0.5 * dt[:, None] * (values[:-1] + values[1:])
-    out = np.zeros_like(values)
-    np.cumsum(segment, axis=0, out=out[1:])
-    return out
+    return 0.5 * dt[:, None] * (values[:-1] + values[1:])
 
 
-def _window_integrals(
-    times: Array, values: Array, cum: Array, a: Array, b: Array
-) -> Array:
+def trapezoid(times: Array, values: Array) -> Array:
+    """Exact integral of the piecewise-linear data (rows of ``values``) over
+    [times[0], times[-1]], per column."""
+    return np.sum(_segments(times, values), axis=0)
+
+
+def _window_integrals(times: Array, values: Array, a: Array, b: Array) -> Array:
     """Integrals of the piecewise-linear data over the windows [a_i, b_i]."""
+    cum = np.zeros_like(values)
+    np.cumsum(_segments(times, values), axis=0, out=cum[1:])
 
     def antiderivative(x):
-        idx = np.clip(np.searchsorted(times, x, side="right") - 1, 0, len(times) - 2)
-        left = times[idx]
-        dt = times[idx + 1] - left
-        theta = (x - left) / dt
-        vx = (1.0 - theta[:, None]) * values[idx] + theta[:, None] * values[idx + 1]
-        return cum[idx] + (0.5 * (x - left))[:, None] * (values[idx] + vx)
+        idx, vx = interpolate(times, values, x)
+        return cum[idx] + (0.5 * (x - times[idx]))[:, None] * (values[idx] + vx)
 
     return antiderivative(b) - antiderivative(a)
 
 
-def _averaged_values(traj: Trajectory, w: AverageWindow, ts: Array) -> Array:
+def averaged_values(traj: Trajectory, w: AverageWindow, ts: Array) -> Array:
     """Moving averages at the given times (clamped to the admissible range)."""
     t0, t1 = _check_window(traj, w)
     half = 0.5 * w.tau
     centers = np.clip(np.asarray(ts, dtype=float), t0 + half, t1 - half)
     a = np.clip(centers - half, t0, t1)
     b = np.clip(centers + half, t0, t1)
-    cum = _cumulative_integral(traj.times, traj.states)
-    return _window_integrals(traj.times, traj.states, cum, a, b) / w.tau
+    return _window_integrals(traj.times, traj.states, a, b) / w.tau
 
 
 def moving_average(traj: Trajectory, w: AverageWindow, t: float) -> Array:
@@ -94,7 +92,7 @@ def moving_average(traj: Trajectory, w: AverageWindow, t: float) -> Array:
     t < t_start + tau/2 the value at t_start + tau/2 is returned, and
     symmetrically at the right end.
     """
-    return _averaged_values(traj, w, np.array([float(t)]))[0]
+    return averaged_values(traj, w, np.array([float(t)]))[0]
 
 
 def average_trajectory(
@@ -109,7 +107,7 @@ def average_trajectory(
         raise ValueError(
             f"output nodes [{ts[0]!r}, {ts[-1]!r}] outside trajectory span [{t0!r}, {t1!r}]"
         )
-    return Trajectory(ts, _averaged_values(traj, w, ts))
+    return Trajectory(ts, averaged_values(traj, w, ts))
 
 
 def _rhs_trajectory(traj: Trajectory, sys: DynamicalSystem) -> Trajectory:
@@ -120,14 +118,10 @@ def _rhs_trajectory(traj: Trajectory, sys: DynamicalSystem) -> Trajectory:
     return Trajectory(traj.times, values)
 
 
-def _variance_values(
-    traj: Trajectory,
-    sys: DynamicalSystem,
-    w: AverageWindow,
-    ts: Array,
-    rhs_traj: Trajectory | None = None,
+def variance_values(
+    traj: Trajectory, sys: DynamicalSystem, w: AverageWindow, ts: Array
 ) -> Array:
-    """Variance at the given interior times; rhs_traj may be precomputed."""
+    """Variance at the given interior times."""
     t0, t1 = _check_window(traj, w)
     half = 0.5 * w.tau
     ts = np.asarray(ts, dtype=float)
@@ -138,10 +132,8 @@ def _variance_values(
             f"variance is only defined on the interior window [{lo!r}, {hi!r}]; "
             f"boundary strips are handled by inactivation, not here"
         )
-    if rhs_traj is None:
-        rhs_traj = _rhs_trajectory(traj, sys)
-    f_avg = _averaged_values(rhs_traj, w, ts)
-    u_avg = _averaged_values(traj, w, ts)
+    f_avg = averaged_values(_rhs_trajectory(traj, sys), w, ts)
+    u_avg = averaged_values(traj, w, ts)
     f_of_avg = np.empty_like(f_avg)
     for i, t in enumerate(ts):
         f_of_avg[i] = evaluate_rhs(sys, u_avg[i], float(t))
@@ -155,4 +147,4 @@ def variance(traj: Trajectory, sys: DynamicalSystem, w: AverageWindow, t: float)
     boundary strips are owned by the inactivation convention of the reduction
     step and are refused here.
     """
-    return _variance_values(traj, sys, w, np.array([float(t)]))[0]
+    return variance_values(traj, sys, w, np.array([float(t)]))[0]

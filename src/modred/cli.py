@@ -256,7 +256,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
     csv_path = f"{cfg.output}.csv"
     write_csv(csv_path, traj, _observable_columns(cfg, spec, traj))
     model_path = f"{cfg.output}.model.txt"
-    Path(model_path).write_text(format_model_report(reduced))
+    Path(model_path).write_text(format_model_report(model))
     _write_plot_script(
         f"{cfg.output}.gnuplot", csv_path, 1 + traj.dimension + len(cfg.observable_names())
     )
@@ -291,8 +291,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     for p in (model_path, csv_path):
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
-    model, u0 = parse_model_report(model_path.read_text())
-    reduced = assemble_reduced(system, model, u0)
+    model = parse_model_report(model_path.read_text())
+    reduced = assemble_reduced(system, model)
     traj = read_csv(str(csv_path), system.dimension)
 
     psi = parse_psi(cfg.psi, system.dimension)

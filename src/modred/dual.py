@@ -17,23 +17,22 @@ recorded in every report.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import ConvergenceError, TimePartition, residual_samples, solve_cg1
-from .reduction import ModelingOptions, ReducedSystem, SubgridModel, _window_slice
-from .averaging import AverageWindow, _variance_values
-from .reduction import _trapezoid
-from .system import (
-    Array,
-    DynamicalSystem,
-    Trajectory,
-    _frozen_array,
-    jacobian,
-    trajectory_eval,
+from .averaging import trapezoid
+from .integrator import TimePartition, residual_samples
+# Imported only as a rebinding target of perfbench/tracing.py.
+from .integrator import solve_cg1  # noqa: F401
+from .reduction import (
+    ModelingOptions,
+    ReducedSystem,
+    SubgridModel,
+    measure_gbar,
+    resolve_short,
 )
+from .system import Array, DynamicalSystem, Trajectory, frozen_array, jacobian, trajectory_eval
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class DualProblem:
     T: float
 
     def __post_init__(self):
-        psi = _frozen_array(self.psi)
+        psi = frozen_array(self.psi)
         if psi.shape != (self.primal.dimension,):
             raise ValueError("psi dimension does not match the primal trajectory")
         if not np.linalg.norm(psi) > 0:
@@ -91,8 +90,7 @@ def stability_factors(phi: Trajectory) -> tuple[float, float]:
     """(S0, S1): integrals of ||phi|| (trapezoid over the nodes) and ||phi'||
     (exact for the piecewise-linear representation)."""
     norms = np.linalg.norm(phi.states, axis=1)
-    dt = np.diff(phi.times)
-    s0 = float(np.sum(0.5 * dt * (norms[:-1] + norms[1:])))
+    s0 = float(trapezoid(phi.times, norms[:, None])[0])
     s1 = float(np.sum(np.linalg.norm(np.diff(phi.states, axis=0), axis=1)))
     return s0, s1
 
@@ -188,16 +186,6 @@ class ControlPointReport:
         return [p.deviation for p in self.points]
 
 
-def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Array:
-    """Time-averaged variance over the interior fit window of a resolved run."""
-    idx, _ = _window_slice(resolved, tau)
-    if len(idx) < 2:
-        raise ValueError("resolved run too short to measure the variance")
-    ts = resolved.times[idx]
-    gbar = _variance_values(resolved, sys, AverageWindow(tau), ts)
-    return _trapezoid(ts, gbar) / (ts[-1] - ts[0])
-
-
 def _perturbation_vector(sys: DynamicalSystem, model: SubgridModel) -> Array:
     """Displacement of the frozen components by their recorded fast amplitude,
     signed with the recorded oscillation phase so the original mode shape is
@@ -223,25 +211,15 @@ def validate_at_control_points(
     Initial data at a control point is the computed reduced solution with the
     frozen components displaced by their recorded oscillation amplitude; the
     full system is resolved over [t_c, t_c + 2*tau] and the variance averaged
-    over the interior window, exactly as in the original fit.
+    over the interior window by the same resolve_short and measure_gbar as the
+    original fit.
     """
     delta = _perturbation_vector(sys, model)
     perturbation = float(np.max(np.abs(delta), initial=0.0))
     report: list[ControlPoint] = []
     for t_c in sorted(float(t) for t in points):
         u_c = trajectory_eval(reduced_traj, t_c) + delta
-        window_sys = dataclasses.replace(
-            sys, initial_value=u_c, final_time=t_c + 2.0 * opts.tau
-        )
-        part = TimePartition.uniform(t_c, t_c + 2.0 * opts.tau, opts.step)
-        try:
-            resolved = solve_cg1(window_sys, part, opts.solver)
-        except ConvergenceError as err:
-            raise RuntimeError(
-                f"control-point resolve at t={t_c:g} diverged "
-                f"(interval {err.interval}, residual {err.residual:.3e})"
-            ) from err
-        gbar = measure_gbar(resolved, sys, opts.tau)
+        gbar = measure_gbar(resolve_short(sys, u_c, t_c, opts), sys, opts.tau)
         deviation = float(np.max(np.abs((model.constants - gbar)[model.active]), initial=0.0))
         report.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
     return ControlPointReport(model=model, points=tuple(report))

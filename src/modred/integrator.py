@@ -16,12 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-from .system import Array, DynamicalSystem, Trajectory, _frozen_array
+from .system import Array, DynamicalSystem, Trajectory, frozen_array, interpolate
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 _DAMPING_FLOOR = 0.25
+
+# Intervals per block in residual_samples: bounds the size of the sample
+# arrays, and so the peak memory, on long trajectories.
+_RESIDUAL_BLOCK = 1024
+
+#: Fixed-point iterations allowed per interval before ConvergenceError.
+MAX_FIXED_POINT_ITERS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -45,7 +52,7 @@ class TimePartition:
     times: Array
 
     def __post_init__(self):
-        times = _frozen_array(self.times)
+        times = frozen_array(self.times)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("a partition needs at least two time nodes")
         if not np.all(np.diff(times) > 0):
@@ -71,13 +78,10 @@ class TimePartition:
 @dataclass(frozen=True)
 class SolverOptions:
     fixed_point_tol: float = 1e-12
-    max_fixed_point_iters: int = 100
 
     def __post_init__(self):
         if not self.fixed_point_tol > 0:
             raise ValueError("fixed_point_tol must be positive")
-        if self.max_fixed_point_iters < 1:
-            raise ValueError("max_fixed_point_iters must be >= 1")
 
 
 def solve_cg1(
@@ -108,7 +112,7 @@ def solve_cg1(
         res_prev = np.inf
         converged = False
         res = np.inf
-        for _ in range(opts.max_fixed_point_iters):
+        for _ in range(MAX_FIXED_POINT_ITERS):
             g = u_prev + k * np.asarray(rhs(0.5 * (u_prev + v), t_mid), dtype=float)
             res = float(np.linalg.norm(g - v))
             if not np.isfinite(res):
@@ -140,18 +144,18 @@ def residual_samples(
     of ||k_j r||_2 over the samples.
     """
     times = traj.times
-    states = traj.states
-    out: list[tuple[int, float]] = []
-    for j in range(1, len(times)):
-        k = float(times[j] - times[j - 1])
-        slope = (states[j] - states[j - 1]) / k
-        t_mid = float(times[j - 1]) + 0.5 * k
-        worst = 0.0
+    left = times[:-1]
+    k = np.diff(times)
+    slopes = np.diff(traj.states, axis=0) / k[:, None]
+    worst = np.zeros(len(k))
+    for lo in range(0, len(k), _RESIDUAL_BLOCK):
+        b = slice(lo, lo + _RESIDUAL_BLOCK)
         for offset in (-_GAUSS_OFFSET, 0.0, _GAUSS_OFFSET):
-            t_s = t_mid + offset * k
-            theta = (t_s - float(times[j - 1])) / k
-            u_s = (1.0 - theta) * states[j - 1] + theta * states[j]
-            r = slope - np.asarray(rhs_total(u_s, t_s), dtype=float)
-            worst = max(worst, k * float(np.linalg.norm(r)))
-        out.append((j, worst))
-    return out
+            t_s = left[b] + 0.5 * k[b] + offset * k[b]
+            _, u_s = interpolate(times, traj.states, t_s)
+            norms = [
+                np.linalg.norm(slope - np.asarray(rhs_total(u, t), dtype=float))
+                for slope, u, t in zip(slopes[b], u_s, t_s)
+            ]
+            worst[b] = np.maximum(worst[b], k[b] * norms)
+    return [(j, float(w)) for j, w in enumerate(worst, start=1)]

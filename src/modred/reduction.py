@@ -2,8 +2,9 @@
 fit a constant subgrid forcing from the measured variance, freeze components
 whose average stays constant, and assemble the reduced system.
 
-The resolved run covers [0, 2*tau].  Averages are only interior-valid tau/2
-away from each end, so the fit window is the maximal centered window
+The resolved run covers [t, t + 2*tau], from t = 0 for the fit and from each
+control point when the model is validated.  Averages are only interior-valid
+tau/2 away from each end, so the fit window is the maximal centered window
 [tau/2, 3*tau/2].  A component is inactivated (frozen) when its moving average
 is constant over the fit window while the unaveraged signal carries a
 macroscopic oscillation; the oscillation guard (variation dominated by the
@@ -16,18 +17,14 @@ of a frozen position component is frozen with it (declared via
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (
-    AverageWindow,
-    _averaged_values,
-    _rhs_trajectory,
-    _variance_values,
-)
+from .averaging import AverageWindow, averaged_values, trapezoid, variance_values
 from .integrator import ConvergenceError, SolverOptions, TimePartition, solve_cg1
-from .system import Array, DynamicalSystem, Trajectory, _frozen_array
+from .system import Array, DynamicalSystem, Trajectory, frozen_array
 
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
@@ -35,6 +32,9 @@ RESOLVED_STEP_FRACTION = 1.0 / 500.0
 #: Minimum resolved nodes per fast oscillation period for the quadrature of
 #: the rhs average to be trustworthy.
 MIN_NODES_PER_PERIOD = 20
+
+#: Minimum resolved nodes in the fit window [tau/2, 3*tau/2].
+MIN_WINDOW_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class ModelingOptions:
     resolved_step: float | None = None
     inactive_tol: float = 1e-3
     oscillation_factor: float = 10.0
-    nodes_per_window_min: int = 200
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class ModelingOptions:
             raise ValueError("inactive_tol must be nonnegative")
         if self.oscillation_factor <= 1:
             raise ValueError("oscillation_factor must exceed 1")
-        if self.nodes_per_window_min < 2:
-            raise ValueError("nodes_per_window_min must be >= 2")
 
     @property
     def step(self) -> float:
@@ -84,6 +81,8 @@ class SubgridModel:
     the frozen components by these values at a control point re-excites the
     recorded mode.  ``frozen_deviation`` records max |ubar_i - frozen value|
     for inactive components (the built-in error of holding them constant).
+    ``initial_value`` is the reduced start state: ubar at the left edge of the
+    fit window for active components, the fit-window mean for frozen ones.
     """
 
     constants: Array
@@ -92,23 +91,28 @@ class SubgridModel:
     fit_window: tuple[float, float]
     oscillation_amplitude: Array
     frozen_deviation: Array
+    initial_value: Array
 
     def __post_init__(self):
-        constants = _frozen_array(self.constants)
-        active = _frozen_array(self.active, dtype=bool)
-        amp = _frozen_array(self.oscillation_amplitude)
-        dev = _frozen_array(self.frozen_deviation)
+        constants = frozen_array(self.constants)
+        active = frozen_array(self.active, dtype=bool)
+        amp = frozen_array(self.oscillation_amplitude)
+        dev = frozen_array(self.frozen_deviation)
+        u0 = frozen_array(self.initial_value)
         n = len(constants)
-        if not (len(active) == len(amp) == len(dev) == n):
+        if not (len(active) == len(amp) == len(dev) == len(u0) == n):
             raise ValueError("model arrays must have equal length")
         if not np.all(np.isfinite(constants)):
             raise ValueError("subgrid constants must be finite")
+        if not np.all(np.isfinite(u0)):
+            raise ValueError("reduced initial value must be finite")
         if np.any(constants[~active] != 0.0):
             raise ValueError("inactive components must carry zero constants")
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "oscillation_amplitude", amp)
         object.__setattr__(self, "frozen_deviation", dev)
+        object.__setattr__(self, "initial_value", u0)
 
     @property
     def dimension(self) -> int:
@@ -120,30 +124,28 @@ class ReducedSystem:
     """The reduced model: rhs f + g with inactive components frozen.
 
     ``system`` is the assembled DynamicalSystem ready for solve_cg1; its
-    initial value is the averaged state, and its Jacobian (analytic when the
-    base system has one) carries zero rows for frozen components.
+    initial value is the model's averaged start state, and its Jacobian
+    (analytic when the base system has one) carries zero rows for frozen
+    components.
     """
 
-    base: DynamicalSystem
     model: SubgridModel
-    initial_value: Array
     system: DynamicalSystem
 
 
-def resolve_short(sys: DynamicalSystem, opts: ModelingOptions) -> Trajectory:
-    """Solve the full system over [0, 2*tau] with the resolved step."""
+def resolve_short(
+    sys: DynamicalSystem, u: Array, t: float, opts: ModelingOptions
+) -> Trajectory:
+    """Solve the full system from state u at time t over [t, t + 2*tau] with
+    the resolved step: the run behind the fit and every control point."""
     step = opts.step
-    if step > 2.0 * opts.tau / opts.nodes_per_window_min:
-        raise ValueError(
-            f"resolved_step {step:g} leaves fewer than {opts.nodes_per_window_min} "
-            f"nodes in the fit window; reduce it below {2.0 * opts.tau / opts.nodes_per_window_min:g}"
-        )
-    part = TimePartition.uniform(0.0, 2.0 * opts.tau, step)
+    t_end = t + 2.0 * opts.tau
+    window_sys = dataclasses.replace(sys, initial_value=u, final_time=t_end)
     try:
-        return solve_cg1(sys, part, opts.solver)
+        return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step), opts.solver)
     except ConvergenceError as err:
         raise RuntimeError(
-            f"resolved run diverged on interval {err.interval} "
+            f"resolved run from t={t:g} diverged on interval {err.interval} "
             f"(residual {err.residual:.3e}); the fastest scale is not resolved, "
             f"use a smaller resolved_step than {step:g}"
         ) from err
@@ -159,9 +161,14 @@ def _window_slice(traj: Trajectory, tau: float) -> tuple[Array, tuple[float, flo
     return idx, (lo, hi)
 
 
-def _trapezoid(ts: Array, ys: Array) -> Array:
-    dt = np.diff(ts)
-    return np.sum(0.5 * dt[:, None] * (ys[:-1] + ys[1:]), axis=0)
+def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Array:
+    """Time-averaged variance over the interior fit window of a resolved run."""
+    idx, _ = _window_slice(resolved, tau)
+    if len(idx) < 2:
+        raise ValueError("resolved run too short to measure the variance")
+    ts = resolved.times[idx]
+    gbar = variance_values(resolved, sys, AverageWindow(tau), ts)
+    return trapezoid(ts, gbar) / (ts[-1] - ts[0])
 
 
 def _check_resolution(u: Array, check: Array) -> float:
@@ -190,16 +197,16 @@ def fit_constant_subgrid(
     partners) and carry a zero constant.
     """
     idx, (lo, hi) = _window_slice(resolved, opts.tau)
-    if len(idx) < opts.nodes_per_window_min:
+    if len(idx) < MIN_WINDOW_NODES:
         raise ValueError(
             f"only {len(idx)} resolved nodes in the fit window "
-            f"[{lo:g}, {hi:g}]; need at least {opts.nodes_per_window_min}"
+            f"[{lo:g}, {hi:g}]; need at least {MIN_WINDOW_NODES}"
         )
     window_times = resolved.times[idx]
     u = resolved.states[idx]
 
     w = AverageWindow(opts.tau)
-    ubar = _averaged_values(resolved, w, window_times)
+    ubar = averaged_values(resolved, w, window_times)
     scale = np.maximum(1.0, np.max(np.abs(ubar), axis=0))
     amplitude = np.max(np.abs(u - ubar), axis=0)
     macroscopic = amplitude > opts.inactive_tol * scale
@@ -235,9 +242,7 @@ def fit_constant_subgrid(
             inactive[vel] = True
     active = ~inactive
 
-    rhs_traj = _rhs_trajectory(resolved, sys)
-    gbar = _variance_values(resolved, sys, w, window_times, rhs_traj=rhs_traj)
-    constants = _trapezoid(window_times, gbar) / (window_times[-1] - window_times[0])
+    constants = measure_gbar(resolved, sys, opts.tau)
     constants[inactive] = 0.0
 
     # Sign the amplitudes with the oscillation phase at the largest collective
@@ -250,8 +255,10 @@ def fit_constant_subgrid(
     else:
         sign = np.ones(resolved.dimension)
 
-    frozen_value = _trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
+    frozen_value = trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
     deviation = np.where(inactive, np.max(np.abs(ubar - frozen_value), axis=0), 0.0)
+    # ubar at the window's left edge equals ubar(0) under the constant extension.
+    start = averaged_values(resolved, w, np.array([lo]))[0]
 
     return SubgridModel(
         constants=constants,
@@ -260,12 +267,11 @@ def fit_constant_subgrid(
         fit_window=(float(lo), float(hi)),
         oscillation_amplitude=sign * amplitude,
         frozen_deviation=deviation,
+        initial_value=np.where(active, start, frozen_value),
     )
 
 
-def assemble_reduced(
-    sys: DynamicalSystem, model: SubgridModel, u0: Array
-) -> ReducedSystem:
+def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> ReducedSystem:
     """Wrap f + g with frozen components into a solvable DynamicalSystem."""
     if model.dimension != sys.dimension:
         raise ValueError("model dimension does not match the system")
@@ -290,51 +296,43 @@ def assemble_reduced(
     system = DynamicalSystem(
         dimension=sys.dimension,
         rhs=reduced_rhs,
-        initial_value=u0,
+        initial_value=model.initial_value,
         final_time=sys.final_time,
         jacobian=reduced_jac,
         oscillator_pairs=sys.oscillator_pairs,
     )
-    return ReducedSystem(base=sys, model=model, initial_value=system.initial_value, system=system)
+    return ReducedSystem(model=model, system=system)
 
 
-def build_reduced(
-    sys: DynamicalSystem, model: SubgridModel, resolved: Trajectory
-) -> ReducedSystem:
-    """Assemble the reduced system with its averaged initial value.
-
-    Active components start from ubar at the left edge of the fit window
-    (which equals ubar(0) under the constant extension); frozen components are
-    held at their fit-window mean.
-    """
-    idx, (lo, _) = _window_slice(resolved, model.tau)
-    window_times = resolved.times[idx]
-    w = AverageWindow(model.tau)
-    ubar = _averaged_values(resolved, w, window_times)
-    mean = _trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
-    u0 = np.where(model.active, _averaged_values(resolved, w, np.array([lo]))[0], mean)
-    return assemble_reduced(sys, model, u0)
+# Kept only as a rebinding target of perfbench/tracing.py; nothing calls it.
+build_reduced = assemble_reduced
 
 
 def auto_model(
     sys: DynamicalSystem, opts: ModelingOptions
 ) -> tuple[ReducedSystem, SubgridModel, Trajectory]:
     """Resolve, fit, and assemble: the full automatic modeling pipeline."""
-    resolved = resolve_short(sys, opts)
+    # A step of at most tau/MIN_WINDOW_NODES leaves at least MIN_WINDOW_NODES
+    # nodes in the fit window however the partition rounds the step.
+    max_step = opts.tau / MIN_WINDOW_NODES
+    if opts.step > max_step:
+        raise ValueError(
+            f"resolved_step {opts.step:g} leaves fewer than {MIN_WINDOW_NODES} nodes "
+            f"in the fit window; reduce it to at most {max_step:g}"
+        )
+    resolved = resolve_short(sys, sys.initial_value, 0.0, opts)
     model = fit_constant_subgrid(resolved, sys, opts)
-    reduced = build_reduced(sys, model, resolved)
-    return reduced, model, resolved
+    return assemble_reduced(sys, model), model, resolved
 
 
-def format_model_report(reduced: ReducedSystem) -> str:
+def format_model_report(model: SubgridModel) -> str:
     """Plain-text model report: one `index active|inactive g_value` line per
     component (1-based indices), preceded by commented metadata used to
     rebuild the reduced system."""
-    model = reduced.model
     lines = [
         f"# tau = {model.tau:.17g}",
         f"# fit_window = {model.fit_window[0]:.17g} {model.fit_window[1]:.17g}",
-        "# u0 = " + " ".join(f"{v:.17g}" for v in reduced.initial_value),
+        "# u0 = " + " ".join(f"{v:.17g}" for v in model.initial_value),
         "# oscillation_amplitude = "
         + " ".join(f"{v:.17g}" for v in model.oscillation_amplitude),
         "# frozen_deviation = " + " ".join(f"{v:.17g}" for v in model.frozen_deviation),
@@ -345,9 +343,8 @@ def format_model_report(reduced: ReducedSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model_report(text: str) -> tuple[SubgridModel, Array]:
-    """Inverse of format_model_report; returns the model and the reduced
-    initial value recorded in the header."""
+def parse_model_report(text: str) -> SubgridModel:
+    """Inverse of format_model_report."""
     meta: dict[str, str] = {}
     rows: list[tuple[int, bool, float]] = []
     for raw in text.splitlines():
@@ -374,12 +371,12 @@ def parse_model_report(text: str) -> tuple[SubgridModel, Array]:
         return np.array([float(v) for v in meta[key].split()])
 
     window = vector("fit_window")
-    model = SubgridModel(
+    return SubgridModel(
         constants=np.array([r[2] for r in rows]),
         active=np.array([r[1] for r in rows]),
         tau=float(vector("tau")[0]),
         fit_window=(float(window[0]), float(window[1])),
         oscillation_amplitude=vector("oscillation_amplitude"),
         frozen_deviation=vector("frozen_deviation"),
+        initial_value=vector("u0"),
     )
-    return model, vector("u0")

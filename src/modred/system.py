@@ -21,7 +21,8 @@ class EvaluationError(RuntimeError):
     """A right-hand side or Jacobian evaluation produced a non-finite value."""
 
 
-def _frozen_array(values, dtype=float) -> Array:
+def frozen_array(values, dtype=float) -> Array:
+    """Read-only float (or ``dtype``) copy of the values."""
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -50,7 +51,7 @@ class DynamicalSystem:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if not self.final_time > 0:
             raise ValueError(f"final_time must be positive, got {self.final_time}")
-        u0 = _frozen_array(self.initial_value)
+        u0 = frozen_array(self.initial_value)
         if u0.shape != (self.dimension,):
             raise ValueError(
                 f"initial value has shape {u0.shape}, expected ({self.dimension},)"
@@ -120,7 +121,7 @@ class Trajectory:
     states: Array  # shape (len(times), dimension)
 
     def __post_init__(self):
-        times = _frozen_array(self.times)
+        times = frozen_array(self.times)
         states = np.atleast_2d(np.array(self.states, dtype=float))
         states.flags.writeable = False
         if times.ndim != 1 or len(times) < 2:
@@ -144,23 +145,22 @@ class Trajectory:
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def eval(self, t: float) -> Array:
-        return trajectory_eval(self, t)
-
 
 def trajectory_eval(traj: Trajectory, t: float) -> Array:
     """Value of the piecewise-linear trajectory at time t (exact at nodes)."""
     t0, t1 = traj.span
     if t < t0 or t > t1:
         raise ValueError(f"t={t!r} outside trajectory domain [{t0!r}, {t1!r}]")
-    return _eval_many(traj, np.array([t]))[0]
+    return interpolate(traj.times, traj.states, np.array([t]))[1][0]
 
 
-def _eval_many(traj: Trajectory, ts: Array) -> Array:
-    """Vectorized linear interpolation; callers guarantee ts is in-domain."""
-    times = traj.times
+def interpolate(times: Array, values: Array, ts: Array) -> tuple[Array, Array]:
+    """Piecewise-linear interpolation of nodal ``values`` at the times ``ts``.
+
+    Returns the index of each time's interval (its left node) and the
+    interpolated rows.  Callers guarantee that ts lies in [times[0], times[-1]].
+    """
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
     left = times[idx]
-    dt = times[idx + 1] - left
-    theta = (ts - left) / dt
-    return (1.0 - theta[:, None]) * traj.states[idx] + theta[:, None] * traj.states[idx + 1]
+    theta = (ts - left) / (times[idx + 1] - left)
+    return idx, (1.0 - theta[:, None]) * values[idx] + theta[:, None] * values[idx + 1]

@@ -35,7 +35,7 @@ from modred import (
     stability_factors,
     validate_at_control_points,
 )
-from modred.system import _eval_many
+from modred.system import interpolate
 
 
 @contextmanager
@@ -110,7 +110,7 @@ def test_criterion_4_oracle_equivalence_moderate_stiffness():
 
         reduced, model, _ = auto_model(sys, ModelingOptions(tau=0.1))
         traj = solve_cg1(reduced.system, TimePartition.uniform(0, 10.0, 0.01))
-        red_u1 = _eval_many(traj, nodes)[:, 0]
+        red_u1 = interpolate(traj.times, traj.states, nodes)[1][:, 0]
         rel = np.max(np.abs(red_u1 - oracle.states[:, 0])) / np.max(np.abs(oracle.states[:, 0]))
         assert rel <= 0.05
 
@@ -128,8 +128,12 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
 
         # baseline B: fitted inactivation mask with the subgrid constants
         # zeroed and the frozen state at equilibrium -> D constant
-        zero_model = dataclasses.replace(model, constants=np.zeros_like(model.constants))
-        frozen = assemble_reduced(sys, zero_model, lattice_equilibrium(spec))
+        zero_model = dataclasses.replace(
+            model,
+            constants=np.zeros_like(model.constants),
+            initial_value=lattice_equilibrium(spec),
+        )
+        frozen = assemble_reduced(sys, zero_model)
         base2 = solve_cg1(frozen.system, TimePartition.uniform(0, 20.0, 0.05))
         D1 = np.array([diameter(base2, spec, float(t)) for t in base2.times])
         assert np.max(np.abs(D1 - np.sqrt(2.0))) <= 1e-6
@@ -154,8 +158,9 @@ def test_criterion_6_dual_and_property_suite():
             fit_window=(0.05, 0.15),
             oscillation_amplitude=np.zeros(2),
             frozen_deviation=np.zeros(2),
+            initial_value=sys.initial_value,
         )
-        reduced = assemble_reduced(sys, trivial, sys.initial_value)
+        reduced = assemble_reduced(sys, trivial)
         U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, k))
         psi = np.array([1.0, 0.0])
         dp = DualProblem(primal=U, sys=reduced.system, psi=psi, T=1.0)
@@ -193,7 +198,7 @@ def test_criterion_6_dual_and_property_suite():
         sreduced, smodel, _ = auto_model(stiff, ModelingOptions(tau=1e-7, resolved_step=2e-10))
         straj = solve_cg1(sreduced.system, TimePartition.uniform(0, 10.0, 0.05))
         for i in np.flatnonzero(~smodel.active):
-            assert np.all(straj.states[:, i] == sreduced.initial_value[i])
+            assert np.all(straj.states[:, i] == smodel.initial_value[i])
 
         # cG(1) second-order convergence
         decay = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]), 1.0)

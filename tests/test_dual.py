@@ -16,7 +16,6 @@ from modred import (
     assemble_reduced,
     auto_model,
     average_trajectory,
-    build_reduced,
     error_estimate,
     make_simple_model,
     solve_cg1,
@@ -111,7 +110,7 @@ def test_stability_factors_orientation_invariant():
     assert stability_factors(phi) == pytest.approx(stability_factors(reversed_phi))
 
 
-def _trivial_model(n, tau):
+def _trivial_model(n, tau, u0):
     return SubgridModel(
         constants=np.zeros(n),
         active=np.ones(n, dtype=bool),
@@ -119,6 +118,7 @@ def _trivial_model(n, tau):
         fit_window=(tau / 2, 1.5 * tau),
         oscillation_amplitude=np.zeros(n),
         frozen_deviation=np.zeros(n),
+        initial_value=u0,
     )
 
 
@@ -126,7 +126,7 @@ def test_estimate_zero_for_exactly_solved_linear_system():
     # constant rhs is integrated exactly by cG(1): residual and modeling terms
     # both vanish at machine precision
     sys = DynamicalSystem(2, lambda u, t: np.array([1.0, -0.5]), np.zeros(2), 4.0)
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.2), sys.initial_value)
+    reduced = assemble_reduced(sys, _trivial_model(2, 0.2, sys.initial_value))
     U = solve_cg1(reduced.system, TimePartition.uniform(0, 4.0, 0.1))
     phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=np.array([1.0, 0.0]), T=4.0), 0.1)
     opts = ModelingOptions(tau=0.2, resolved_step=0.001)
@@ -141,7 +141,7 @@ def test_estimate_zero_for_exactly_solved_linear_system():
 def test_estimate_bounds_linear_discretization_error():
     sys = rotation_system(T=1.0)
     k = 0.01
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.1), sys.initial_value)
+    reduced = assemble_reduced(sys, _trivial_model(2, 0.1, sys.initial_value))
     U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, k))
     psi = np.array([1.0, 0.0])
     phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=psi, T=1.0), k)
@@ -154,7 +154,7 @@ def test_estimate_bounds_linear_discretization_error():
 
 def test_model_term_zero_when_gbar_matches():
     sys = rotation_system(T=1.0)
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.1), sys.initial_value)
+    reduced = assemble_reduced(sys, _trivial_model(2, 0.1, sys.initial_value))
     U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, 0.01))
     phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=np.array([1.0, 0.0]), T=1.0), 0.01)
     est = error_estimate(U, reduced, phi, [(0.5, np.zeros(2))])
@@ -198,7 +198,7 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
     bad_constants = model.constants.copy()
     bad_constants[2] = 0.5
     bad_model = dataclasses.replace(model, constants=bad_constants)
-    bad_reduced = build_reduced(sys, bad_model, resolved)
+    bad_reduced = assemble_reduced(sys, bad_model)
     k = 0.01
     U = solve_cg1(bad_reduced.system, TimePartition.uniform(0, 10.0, k))
     psi = np.array([1.0, 0.0, 0.0, 0.0])

@@ -119,5 +119,3 @@ def test_uniform_partition_counts():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(fixed_point_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_fixed_point_iters=0)

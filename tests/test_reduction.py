@@ -11,8 +11,8 @@ from modred import (
     SubgridModel,
     TimePartition,
     Trajectory,
+    assemble_reduced,
     auto_model,
-    build_reduced,
     evaluate_rhs,
     fit_constant_subgrid,
     make_simple_model,
@@ -41,21 +41,27 @@ def test_resolve_short_node_count_and_periods(stiff_modeling):
 
 def test_resolve_short_constant_field():
     sys = DynamicalSystem(2, lambda u, t: np.zeros(2), np.array([1.0, -1.0]), 10.0)
-    traj = resolve_short(sys, ModelingOptions(tau=0.5))
+    traj = resolve_short(sys, sys.initial_value, 0.0, ModelingOptions(tau=0.5))
     np.testing.assert_array_equal(traj.states, np.tile(sys.initial_value, (len(traj.times), 1)))
 
 
 def test_resolve_short_exponential_endpoint():
     sys = DynamicalSystem(1, lambda u, t: -u, np.array([2.0]), 10.0)
-    traj = resolve_short(sys, ModelingOptions(tau=0.5, resolved_step=0.002))
+    opts = ModelingOptions(tau=0.5, resolved_step=0.002)
+    traj = resolve_short(sys, sys.initial_value, 0.0, opts)
     np.testing.assert_allclose(traj.times[-1], 1.0)
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
 
 
-def test_resolve_short_rejects_coarse_step():
-    sys = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]), 10.0)
-    with pytest.raises(ValueError, match="resolved_step"):
-        resolve_short(sys, ModelingOptions(tau=0.5, resolved_step=0.1))
+def test_auto_model_resolved_step_bound():
+    # the advised maximum step leaves MIN_WINDOW_NODES nodes in the fit
+    # window [tau/2, 3*tau/2], so a step just under it passes the fit
+    sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
+    with pytest.raises(ValueError, match="at most 0.0005"):
+        auto_model(sys, ModelingOptions(tau=0.1, resolved_step=0.00051))
+    for step in (0.0005, 0.000499):
+        _, model, _ = auto_model(sys, ModelingOptions(tau=0.1, resolved_step=step))
+        assert np.all(np.isfinite(model.constants))
 
 
 def test_fit_simple_model_constant_and_mask(stiff_modeling):
@@ -106,13 +112,13 @@ def test_fit_refuses_underresolved_oscillation():
 
 def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
     sys, _, reduced, model, _ = stiff_modeling
-    u = np.array([0.3, reduced.initial_value[1], -0.1, reduced.initial_value[3]])
+    u = np.array([0.3, model.initial_value[1], -0.1, model.initial_value[3]])
     out = evaluate_rhs(reduced.system, u, 0.0)
     expected_3 = -u[0] + 0.5 * u[1] ** 2 + model.constants[2]
     np.testing.assert_allclose(out[2], expected_3, rtol=1e-12)
     assert out[1] == 0.0 and out[3] == 0.0  # frozen components do not move
     # frozen fast position sits near the (vanishing) average
-    assert abs(reduced.initial_value[1]) <= 1e-2
+    assert abs(model.initial_value[1]) <= 1e-2
 
 
 def test_identity_reduction_reproduces_original(rng):
@@ -137,19 +143,18 @@ def test_all_inactive_model_freezes_everything():
         fit_window=(0.05, 0.15),
         oscillation_amplitude=np.zeros(2),
         frozen_deviation=np.zeros(2),
+        initial_value=np.array([0.99, -0.1]),
     )
-    ts = np.linspace(0, 0.2, 201)
-    resolved = Trajectory(ts, np.stack([np.cos(ts), -np.sin(ts)], axis=1))
-    reduced = build_reduced(sys, model, resolved)
+    reduced = assemble_reduced(sys, model)
     traj = solve_cg1(reduced.system, TimePartition.uniform(0, 5.0, 0.1))
-    np.testing.assert_array_equal(traj.states, np.tile(reduced.initial_value, (51, 1)))
+    np.testing.assert_array_equal(traj.states, np.tile(model.initial_value, (51, 1)))
 
 
 def test_frozen_components_exact_at_all_nodes(stiff_modeling):
     _, _, reduced, model, _ = stiff_modeling
     traj = solve_cg1(reduced.system, TimePartition.uniform(0, 10.0, 0.01))
     for i in np.flatnonzero(~model.active):
-        assert np.all(traj.states[:, i] == reduced.initial_value[i])
+        assert np.all(traj.states[:, i] == model.initial_value[i])
 
 
 def test_subgrid_model_invariants():
@@ -161,21 +166,22 @@ def test_subgrid_model_invariants():
             fit_window=(0.05, 0.15),
             oscillation_amplitude=np.zeros(1),
             frozen_deviation=np.zeros(1),
+            initial_value=np.zeros(1),
         )
 
 
 def test_model_report_round_trip(stiff_modeling):
-    _, _, reduced, model, _ = stiff_modeling
-    text = format_model_report(reduced)
+    _, _, _, model, _ = stiff_modeling
+    text = format_model_report(model)
     lines = text.strip().splitlines()
     assert "2 inactive 0" in lines
     assert "4 inactive 0" in lines
     assert any(line.startswith("3 active 0.24") for line in lines)
-    parsed, u0 = parse_model_report(text)
+    parsed = parse_model_report(text)
     np.testing.assert_array_equal(parsed.constants, model.constants)
     np.testing.assert_array_equal(parsed.active, model.active)
     np.testing.assert_array_equal(parsed.oscillation_amplitude, model.oscillation_amplitude)
-    np.testing.assert_array_equal(u0, reduced.initial_value)
+    np.testing.assert_array_equal(parsed.initial_value, model.initial_value)
     assert parsed.tau == model.tau and parsed.fit_window == model.fit_window
 
 
