@@ -32,7 +32,16 @@ from .reduction import (
     measure_gbar,
     resolve_short,
 )
-from .system import Array, DynamicalSystem, Trajectory, frozen_array, jacobian, trajectory_eval
+from .system import (
+    INTERPOLATE_BLOCK,
+    Array,
+    DynamicalSystem,
+    Trajectory,
+    frozen_array,
+    interpolate,
+    jacobian,
+    trajectory_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,14 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     phi = np.empty((len(s_nodes), n))
     phi[0] = dp.psi
-    for j in range(1, len(s_nodes)):
-        k = float(s_nodes[j] - s_nodes[j - 1])
-        t_mid = dp.T - 0.5 * (float(s_nodes[j]) + float(s_nodes[j - 1]))
-        u_mid = trajectory_eval(dp.primal, min(max(t_mid, t_start), t_end))
-        A = jacobian(dp.sys, u_mid, t_mid).T
-        phi[j] = np.linalg.solve(eye - 0.5 * k * A, phi[j - 1] + 0.5 * k * (A @ phi[j - 1]))
+    for lo in range(1, len(s_nodes), INTERPOLATE_BLOCK):
+        hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
+        t_mids = dp.T - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
+        _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
+        for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
+            k = float(s_nodes[j] - s_nodes[j - 1])
+            A = jacobian(dp.sys, u_mid, float(t_mid)).T
+            phi[j] = np.linalg.solve(eye - 0.5 * k * A, phi[j - 1] + 0.5 * k * (A @ phi[j - 1]))
 
     times = (dp.T - s_nodes)[::-1].copy()
     times[0], times[-1] = t_start, dp.T  # pin endpoints against roundoff

@@ -16,16 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-from .system import Array, DynamicalSystem, Trajectory, frozen_array, interpolate
+from .system import (
+    INTERPOLATE_BLOCK,
+    Array,
+    DynamicalSystem,
+    Trajectory,
+    frozen_array,
+    interpolate,
+)
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 _DAMPING_FLOOR = 0.25
-
-# Intervals per block in residual_samples: bounds the size of the sample
-# arrays, and so the peak memory, on long trajectories.
-_RESIDUAL_BLOCK = 1024
 
 #: Fixed-point iterations allowed per interval before ConvergenceError.
 MAX_FIXED_POINT_ITERS = 100
@@ -104,31 +107,35 @@ def solve_cg1(
     states[0] = sys.initial_value
     u_prev = states[0]
 
-    for j in range(1, len(times)):
-        k = times[j] - times[j - 1]
-        t_mid = times[j - 1] + 0.5 * k
-        v = u_prev
-        damping = 1.0
-        res_prev = np.inf
-        converged = False
-        res = np.inf
-        for _ in range(MAX_FIXED_POINT_ITERS):
-            g = u_prev + k * np.asarray(rhs(0.5 * (u_prev + v), t_mid), dtype=float)
-            res = float(np.linalg.norm(g - v))
-            if not np.isfinite(res):
-                break
-            if res <= tol * max(1.0, float(np.linalg.norm(g))):
-                v = g
-                converged = True
-                break
-            if res > res_prev:
-                damping = max(_DAMPING_FLOOR, 0.5 * damping)
-            res_prev = res
-            v = (1.0 - damping) * v + damping * g
-        if not converged:
-            raise ConvergenceError(j, float(times[j]), res)
-        states[j] = v
-        u_prev = v
+    # Diverging iterates overflow on their way to the non-finite residual
+    # that raises ConvergenceError below; numpy's overflow warnings would only
+    # repeat that.  One errstate per solve adds no per-iteration work.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, len(times)):
+            k = times[j] - times[j - 1]
+            t_mid = times[j - 1] + 0.5 * k
+            v = u_prev
+            damping = 1.0
+            res_prev = np.inf
+            converged = False
+            res = np.inf
+            for _ in range(MAX_FIXED_POINT_ITERS):
+                g = u_prev + k * np.asarray(rhs(0.5 * (u_prev + v), t_mid), dtype=float)
+                res = float(np.linalg.norm(g - v))
+                if not np.isfinite(res):
+                    break
+                if res <= tol * max(1.0, float(np.linalg.norm(g))):
+                    v = g
+                    converged = True
+                    break
+                if res > res_prev:
+                    damping = max(_DAMPING_FLOOR, 0.5 * damping)
+                res_prev = res
+                v = (1.0 - damping) * v + damping * g
+            if not converged:
+                raise ConvergenceError(j, float(times[j]), res)
+            states[j] = v
+            u_prev = v
 
     return Trajectory(times, states)
 
@@ -148,8 +155,8 @@ def residual_samples(
     k = np.diff(times)
     slopes = np.diff(traj.states, axis=0) / k[:, None]
     worst = np.zeros(len(k))
-    for lo in range(0, len(k), _RESIDUAL_BLOCK):
-        b = slice(lo, lo + _RESIDUAL_BLOCK)
+    for lo in range(0, len(k), INTERPOLATE_BLOCK):
+        b = slice(lo, lo + INTERPOLATE_BLOCK)
         for offset in (-_GAUSS_OFFSET, 0.0, _GAUSS_OFFSET):
             t_s = left[b] + 0.5 * k[b] + offset * k[b]
             _, u_s = interpolate(times, traj.states, t_s)

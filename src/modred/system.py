@@ -16,6 +16,10 @@ Array = np.ndarray
 # Relative step for central finite differences, cbrt(machine epsilon).
 FD_EPS_REL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
+#: Sample times per interpolate call when a caller walks a whole trajectory:
+#: bounds the size of the sample arrays, and so the peak memory, on long runs.
+INTERPOLATE_BLOCK = 1024
+
 
 class EvaluationError(RuntimeError):
     """A right-hand side or Jacobian evaluation produced a non-finite value."""
@@ -82,29 +86,31 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
     """Jacobian of the right-hand side at (u, t).
 
     Uses the analytic Jacobian when present, otherwise central finite
-    differences with steps h_i = FD_EPS_REL * max(|u_i|, 1).
+    differences with steps h_i = FD_EPS_REL * max(|u_i|, 1).  Either way a
+    non-finite entry raises EvaluationError naming the first bad (i, j).
     """
     u = np.asarray(u, dtype=float)
     if sys.jacobian is not None:
+        kind = "analytic"
         J = np.asarray(sys.jacobian(u, t), dtype=float)
         if J.shape != (sys.dimension, sys.dimension):
             raise ValueError(
                 f"jacobian returned shape {J.shape}, expected square of size {sys.dimension}"
             )
-        return J
-
-    n = sys.dimension
-    J = np.empty((n, n))
-    for j in range(n):
-        h = FD_EPS_REL * max(abs(u[j]), 1.0)
-        up = u.copy()
-        um = u.copy()
-        up[j] += h
-        um[j] -= h
-        J[:, j] = (sys.rhs(up, t) - sys.rhs(um, t)) / (2.0 * h)
-    if not np.all(np.isfinite(J)):
+    else:
+        kind = "finite-difference"
+        n = sys.dimension
+        J = np.empty((n, n))
+        for j in range(n):
+            h = FD_EPS_REL * max(abs(u[j]), 1.0)
+            up = u.copy()
+            um = u.copy()
+            up[j] += h
+            um[j] -= h
+            J[:, j] = (sys.rhs(up, t) - sys.rhs(um, t)) / (2.0 * h)
+    if not np.isfinite(J).all():
         i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(J)))
-        raise EvaluationError(f"finite-difference Jacobian entry ({i}, {j}) is non-finite")
+        raise EvaluationError(f"{kind} Jacobian entry ({i}, {j}) is non-finite at t={t!r}")
     return J
 
 

@@ -8,6 +8,7 @@ from modred import (
     AverageWindow,
     DualProblem,
     DynamicalSystem,
+    LatticeSpec,
     ModelingOptions,
     SimpleModelSpec,
     SubgridModel,
@@ -17,10 +18,13 @@ from modred import (
     auto_model,
     average_trajectory,
     error_estimate,
+    jacobian,
+    make_lattice,
     make_simple_model,
     solve_cg1,
     solve_dual,
     stability_factors,
+    trajectory_eval,
     validate_at_control_points,
 )
 
@@ -120,6 +124,70 @@ def _trivial_model(n, tau, u0):
         frozen_deviation=np.zeros(n),
         initial_value=u0,
     )
+
+
+def _frozen_model(sys, frozen):
+    active = np.ones(sys.dimension, dtype=bool)
+    active[list(frozen)] = False
+    return dataclasses.replace(_trivial_model(sys.dimension, 0.1, sys.initial_value), active=active)
+
+
+def _reduced_lattice():
+    sys = make_lattice(LatticeSpec(p=3, T=1.0))
+    return sys, [c for pair in sys.oscillator_pairs for c in pair]
+
+
+def _reduced_simple():
+    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=1.0))
+    return sys, [1, 3]
+
+
+@pytest.mark.parametrize("build", [_reduced_lattice, _reduced_simple])
+def test_dual_makes_no_rhs_calls(build):
+    # both built-in problems carry an analytic Jacobian, so the dual never
+    # falls back to finite differences of the rhs
+    sys, frozen = build()
+    reduced = assemble_reduced(sys, _frozen_model(sys, frozen)).system
+    U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.05))
+    calls = 0
+
+    def counted_rhs(u, t):
+        nonlocal calls
+        calls += 1
+        return reduced.rhs(u, t)
+
+    counted = dataclasses.replace(reduced, rhs=counted_rhs)
+    psi = np.zeros(sys.dimension)
+    psi[0] = 1.0
+    phi = solve_dual(DualProblem(primal=U, sys=counted, psi=psi, T=1.0), 0.05)
+    assert len(phi.times) == 21
+    assert calls == 0
+
+
+def _dual_reference(dp, step):
+    """solve_dual's states by one trajectory_eval per step, the loop that
+    the batched midpoint interpolation replaced."""
+    t_start, t_end = dp.primal.span
+    s = TimePartition.uniform(0.0, dp.T - t_start, step).times
+    eye = np.eye(len(dp.psi))
+    phi = [dp.psi]
+    for j in range(1, len(s)):
+        k = float(s[j] - s[j - 1])
+        t_mid = dp.T - 0.5 * (float(s[j]) + float(s[j - 1]))
+        u_mid = trajectory_eval(dp.primal, min(max(t_mid, t_start), t_end))
+        A = jacobian(dp.sys, u_mid, t_mid).T
+        phi.append(np.linalg.solve(eye - 0.5 * k * A, phi[-1] + 0.5 * k * (A @ phi[-1])))
+    return np.array(phi[::-1])
+
+
+@pytest.mark.parametrize("step", [0.01, 0.007])
+def test_dual_matches_per_step_reference_exactly(step):
+    # more than one interpolation block, and a dual partition that does and
+    # does not coincide with the primal one
+    sys = make_simple_model(SimpleModelSpec(kappa=4.0, T=25.0))
+    U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
+    dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]), T=25.0)
+    np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
 
 
 def test_estimate_zero_for_exactly_solved_linear_system():

@@ -26,7 +26,7 @@ PINNED = {
     "lattice": {
         "csv": "634bcb5936fe549056f7907f4a2811b5727ba786094879d2b47e3ef23e294a7e",
         "model.txt": "dc84b013f91da51409f16cca9b03a6a39a34a6ad8706ae1b27333f7f6064d5de",
-        "estimate.txt": "b856e3c391d760012cd9ff8057b95f9d63b52e904669f5763fe4e7c5cc0cd71e",
+        "estimate.txt": "d7911f496847ad4a12a85f551852a5d401039255ce8ab6c004b2f87f531d0341",
         "controls.txt": "2fb6dbf4209022f5d7d2fd391c80171e55856fc9625f9d5a9243852a9cf6d00b",
     },
 }

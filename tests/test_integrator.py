@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from conftest import rotation_system
 from modred import (
     ConvergenceError,
     DynamicalSystem,
+    SimpleModelSpec,
     SolverOptions,
     TimePartition,
+    make_simple_model,
     residual_samples,
     solve_cg1,
 )
@@ -61,6 +65,18 @@ def test_divergence_raises_with_interval():
         solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.01))
     assert exc.value.interval == 1
     assert np.isfinite(exc.value.residual) or exc.value.residual == np.inf
+
+
+def test_overflowing_divergence_raises_without_numpy_warning():
+    # the simple model at kappa=1e18 with step 0.01: the iterates overflow
+    # within a few iterations, which must surface only as ConvergenceError
+    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            solve_cg1(sys, TimePartition.uniform(0, 0.1, 0.01))
+    assert exc.value.interval == 1
+    assert not np.isfinite(exc.value.residual)
 
 
 def test_fixed_point_tolerance_is_respected():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from modred import (
     analytic_reduced_simple,
     diameter,
     evaluate_rhs,
+    jacobian,
     lattice_equilibrium,
     make_lattice,
     make_simple_model,
@@ -161,3 +164,28 @@ def test_lattice_oscillator_pairs_cover_small_masses(lattice_spec):
     for pos, vel in pairs:
         assert 2 * lattice_spec.n_large <= pos < n_pos
         assert vel == pos + n_pos
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LatticeSpec(p=3, m=1e-4, T=1.0),
+        LatticeSpec(p=3, T=1.0),
+        LatticeSpec(p=6, m=1e-4, T=1.0),
+        LatticeSpec(p=6, T=1.0),
+        SimpleModelSpec(kappa=1e6, T=1.0),
+    ],
+    ids=["lattice-p3-m1e-4", "lattice-p3", "lattice-p6-m1e-4", "lattice-p6", "simple"],
+)
+def test_analytic_jacobian_matches_finite_differences(spec, rng):
+    # each row's error relative to its largest entry, at perturbed states
+    sys = make_lattice(spec) if isinstance(spec, LatticeSpec) else make_simple_model(spec)
+    assert sys.jacobian is not None
+    fd_sys = dataclasses.replace(sys, jacobian=None)
+    for _ in range(3):
+        u = sys.initial_value + rng.normal(scale=0.01, size=sys.dimension)
+        J = jacobian(sys, u, 0.0)
+        J_fd = jacobian(fd_sys, u, 0.0)
+        row_scale = np.max(np.abs(J_fd), axis=1)
+        assert np.all(row_scale > 0)
+        assert np.max(np.max(np.abs(J - J_fd), axis=1) / row_scale) <= 1e-6

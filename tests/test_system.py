@@ -50,6 +50,25 @@ def test_nonfinite_rhs_reports_component():
         evaluate_rhs(sys, sys.initial_value, 0.0)
 
 
+def test_nonfinite_analytic_jacobian_reports_entry():
+    def jac(u, t):
+        J = np.zeros((3, 3))
+        J[2, 1] = np.nan
+        J[2, 2] = np.inf
+        return J
+
+    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), np.zeros(3), 1.0, jacobian=jac)
+    with pytest.raises(EvaluationError, match=r"analytic Jacobian entry \(2, 1\)"):
+        jacobian(sys, sys.initial_value, 0.0)
+
+
+def test_nonfinite_fd_jacobian_reports_entry():
+    sys = DynamicalSystem(2, lambda u, t: np.array([0.0, np.sqrt(u[0])]), np.zeros(2), 1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvaluationError, match=r"finite-difference Jacobian entry \(1, 0\)"):
+            jacobian(sys, sys.initial_value, 0.0)
+
+
 def test_trajectory_eval_linear_interpolation():
     traj = Trajectory([0.0, 1.0], [[0.0], [2.0]])
     np.testing.assert_allclose(trajectory_eval(traj, 0.5), [1.0])
