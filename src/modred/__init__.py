@@ -6,10 +6,9 @@ intervals, and bound the combined discretization + modeling error through a
 backward dual problem.
 """
 
-from .averaging import AverageWindow, average_trajectory, moving_average, variance
+from .averaging import averaged_values, variance_values
 from .dual import (
     ControlPoint,
-    ControlPointReport,
     DualProblem,
     ErrorEstimate,
     error_estimate,
@@ -36,7 +35,6 @@ from .problems import (
 )
 from .reduction import (
     ModelingOptions,
-    ReducedSystem,
     SubgridModel,
     assemble_reduced,
     auto_model,
@@ -54,9 +52,7 @@ from .system import (
 )
 
 __all__ = [
-    "AverageWindow",
     "ControlPoint",
-    "ControlPointReport",
     "ConvergenceError",
     "DualProblem",
     "DynamicalSystem",
@@ -64,7 +60,6 @@ __all__ = [
     "EvaluationError",
     "LatticeSpec",
     "ModelingOptions",
-    "ReducedSystem",
     "SimpleModelSpec",
     "SolverOptions",
     "SubgridModel",
@@ -73,7 +68,7 @@ __all__ = [
     "analytic_reduced_simple",
     "assemble_reduced",
     "auto_model",
-    "average_trajectory",
+    "averaged_values",
     "diameter",
     "error_estimate",
     "evaluate_rhs",
@@ -83,7 +78,6 @@ __all__ = [
     "make_lattice",
     "make_simple_model",
     "measure_gbar",
-    "moving_average",
     "residual_samples",
     "resolve_short",
     "small_mass_distance",
@@ -92,7 +86,7 @@ __all__ = [
     "stability_factors",
     "trajectory_eval",
     "validate_at_control_points",
-    "variance",
+    "variance_values",
 ]
 
 __version__ = "0.1.0"

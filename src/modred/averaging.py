@@ -23,29 +23,18 @@ exact quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .system import Array, DynamicalSystem, Trajectory, evaluate_rhs, interpolate
 
 
-@dataclass(frozen=True)
-class AverageWindow:
-    """Size tau of the centered averaging window."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"window size must be positive, got {self.tau}")
-
-
-def _check_window(traj: Trajectory, w: AverageWindow) -> tuple[float, float]:
+def _check_window(traj: Trajectory, tau: float) -> tuple[float, float]:
+    if not tau > 0:
+        raise ValueError(f"window size must be positive, got {tau}")
     t0, t1 = traj.span
-    if w.tau >= t1 - t0:
+    if tau >= t1 - t0:
         raise ValueError(
-            f"window tau={w.tau!r} does not fit inside the trajectory span "
+            f"window tau={tau!r} does not fit inside the trajectory span "
             f"[{t0!r}, {t1!r}] of length {t1 - t0!r}"
         )
     return t0, t1
@@ -75,39 +64,18 @@ def _window_integrals(times: Array, values: Array, a: Array, b: Array) -> Array:
     return antiderivative(b) - antiderivative(a)
 
 
-def averaged_values(traj: Trajectory, w: AverageWindow, ts: Array) -> Array:
-    """Moving averages at the given times (clamped to the admissible range)."""
-    t0, t1 = _check_window(traj, w)
-    half = 0.5 * w.tau
+def averaged_values(traj: Trajectory, tau: float, ts: Array) -> Array:
+    """Centered moving averages over a window of size tau at the given times.
+
+    Near the trajectory ends the constant extension applies: a time closer
+    than tau/2 to an end is clamped to the nearest admissible center.
+    """
+    t0, t1 = _check_window(traj, tau)
+    half = 0.5 * tau
     centers = np.clip(np.asarray(ts, dtype=float), t0 + half, t1 - half)
     a = np.clip(centers - half, t0, t1)
     b = np.clip(centers + half, t0, t1)
-    return _window_integrals(traj.times, traj.states, a, b) / w.tau
-
-
-def moving_average(traj: Trajectory, w: AverageWindow, t: float) -> Array:
-    """Centered moving average of the trajectory at time t.
-
-    Near the trajectory ends the constant extension applies: for
-    t < t_start + tau/2 the value at t_start + tau/2 is returned, and
-    symmetrically at the right end.
-    """
-    return averaged_values(traj, w, np.array([float(t)]))[0]
-
-
-def average_trajectory(
-    traj: Trajectory, w: AverageWindow, output_nodes
-) -> Trajectory:
-    """Moving average sampled on the given output nodes, as a new trajectory."""
-    ts = np.asarray(output_nodes, dtype=float)
-    t0, t1 = traj.span
-    if ts.ndim != 1 or len(ts) < 2:
-        raise ValueError("need at least two output nodes")
-    if ts[0] < t0 or ts[-1] > t1:
-        raise ValueError(
-            f"output nodes [{ts[0]!r}, {ts[-1]!r}] outside trajectory span [{t0!r}, {t1!r}]"
-        )
-    return Trajectory(ts, averaged_values(traj, w, ts))
+    return _window_integrals(traj.times, traj.states, a, b) / tau
 
 
 def _rhs_trajectory(traj: Trajectory, sys: DynamicalSystem) -> Trajectory:
@@ -118,33 +86,26 @@ def _rhs_trajectory(traj: Trajectory, sys: DynamicalSystem) -> Trajectory:
     return Trajectory(traj.times, values)
 
 
-def variance_values(
-    traj: Trajectory, sys: DynamicalSystem, w: AverageWindow, ts: Array
-) -> Array:
-    """Variance at the given interior times."""
-    t0, t1 = _check_window(traj, w)
-    half = 0.5 * w.tau
+def variance_values(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Array) -> Array:
+    """The defect gbar(t) between the averaged rhs and the rhs of the average.
+
+    Requires every t in the interior region [t_start + tau/2, t_end - tau/2];
+    the boundary strips are owned by the inactivation convention of the
+    reduction step and are refused here.
+    """
+    t0, t1 = _check_window(traj, tau)
+    half = 0.5 * tau
     ts = np.asarray(ts, dtype=float)
     lo, hi = t0 + half, t1 - half
-    slack = 1e-9 * w.tau
+    slack = 1e-9 * tau
     if np.any(ts < lo - slack) or np.any(ts > hi + slack):
         raise ValueError(
             f"variance is only defined on the interior window [{lo!r}, {hi!r}]; "
             f"boundary strips are handled by inactivation, not here"
         )
-    f_avg = averaged_values(_rhs_trajectory(traj, sys), w, ts)
-    u_avg = averaged_values(traj, w, ts)
+    f_avg = averaged_values(_rhs_trajectory(traj, sys), tau, ts)
+    u_avg = averaged_values(traj, tau, ts)
     f_of_avg = np.empty_like(f_avg)
     for i, t in enumerate(ts):
         f_of_avg[i] = evaluate_rhs(sys, u_avg[i], float(t))
     return f_avg - f_of_avg
-
-
-def variance(traj: Trajectory, sys: DynamicalSystem, w: AverageWindow, t: float) -> Array:
-    """The defect gbar(t) between the averaged rhs and the rhs of the average.
-
-    Requires t in the interior region [t_start + tau/2, t_end - tau/2]; the
-    boundary strips are owned by the inactivation convention of the reduction
-    step and are refused here.
-    """
-    return variance_values(traj, sys, w, np.array([float(t)]))[0]

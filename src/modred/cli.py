@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import sys as _sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from .dual import (
     solve_dual,
     validate_at_control_points,
 )
-from .integrator import SolverOptions, TimePartition, solve_cg1
+from .integrator import TimePartition, solve_cg1
 from .problems import (
     LatticeSpec,
     SimpleModelSpec,
@@ -70,9 +71,6 @@ class RunConfig:
     psi: str = "1"
     output: str = "run"
     observables: str = ""
-    inactive_tol: float | None = None
-    oscillation_factor: float | None = None
-    fixed_point_tol: float | None = None
 
     def validate(self) -> None:
         if self.problem not in ("simple", "lattice", "external-file"):
@@ -105,7 +103,10 @@ def _coerce(key: str, raw: str):
         return raw
     if key in _INT_KEYS:
         return int(raw)
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path: str, overrides: list[tuple[str, str]] = ()) -> RunConfig:
@@ -221,25 +222,10 @@ def _write_plot_script(path: str, csv_path: str, n_columns: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _solver_options(cfg: RunConfig) -> SolverOptions:
-    if cfg.fixed_point_tol is not None:
-        return SolverOptions(fixed_point_tol=cfg.fixed_point_tol)
-    return SolverOptions()
-
-
-def _modeling_options(cfg: RunConfig) -> ModelingOptions:
-    kwargs = {"tau": cfg.tau, "resolved_step": cfg.resolved_step, "solver": _solver_options(cfg)}
-    if cfg.inactive_tol is not None:
-        kwargs["inactive_tol"] = cfg.inactive_tol
-    if cfg.oscillation_factor is not None:
-        kwargs["oscillation_factor"] = cfg.oscillation_factor
-    return ModelingOptions(**kwargs)
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     system, spec = build_system(cfg)
     part = TimePartition.uniform(0.0, cfg.T, cfg.step)
-    traj = solve_cg1(system, part, _solver_options(cfg))
+    traj = solve_cg1(system, part)
     csv_path = f"{cfg.output}.csv"
     write_csv(csv_path, traj, _observable_columns(cfg, spec, traj))
     print(f"[solve] {len(part.steps)} steps over [0, {cfg.T:g}] -> {csv_path}")
@@ -248,10 +234,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_reduce(cfg: RunConfig) -> int:
     system, spec = build_system(cfg)
-    opts = _modeling_options(cfg)
+    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
     reduced, model, resolved = auto_model(system, opts)
     part = TimePartition.uniform(0.0, cfg.T, cfg.reduced_step)
-    traj = solve_cg1(reduced.system, part, _solver_options(cfg))
+    traj = solve_cg1(reduced, part)
 
     csv_path = f"{cfg.output}.csv"
     write_csv(csv_path, traj, _observable_columns(cfg, spec, traj))
@@ -292,20 +278,26 @@ def cmd_estimate(cfg: RunConfig) -> int:
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
     model = parse_model_report(model_path.read_text())
+    if cfg.tau != model.tau:
+        # Control points must measure gbar over the window the fit used.
+        raise ValueError(
+            f"config tau = {cfg.tau!r} differs from the fitted model's tau = {model.tau!r} "
+            f"in {model_path}; estimate with the tau that `modred reduce` used"
+        )
     reduced = assemble_reduced(system, model)
     traj = read_csv(str(csv_path), system.dimension)
 
     psi = parse_psi(cfg.psi, system.dimension)
-    dp = DualProblem(primal=traj, sys=reduced.system, psi=psi, T=float(traj.times[-1]))
+    dp = DualProblem(primal=traj, sys=reduced, psi=psi, T=float(traj.times[-1]))
     phi = solve_dual(dp, cfg.reduced_step)
 
-    opts = _modeling_options(cfg)
-    report = validate_at_control_points(traj, system, model, _control_times(cfg), opts)
-    est = error_estimate(traj, reduced, phi, report.gbar_samples())
+    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
+    points = validate_at_control_points(traj, system, model, _control_times(cfg), opts)
+    est = error_estimate(traj, reduced, model, phi, points)
 
     est_path = f"{cfg.output}.estimate.txt"
     Path(est_path).write_text(format_estimate_report(est))
-    Path(f"{cfg.output}.controls.txt").write_text(format_control_report(report))
+    Path(f"{cfg.output}.controls.txt").write_text(format_control_report(model, points))
     print(
         f"[estimate] S0={est.S0:.4g} S1={est.S1:.4g} disc={est.disc_term:.4g} "
         f"model={est.model_term:.4g} total={est.total:.4g} -> {est_path}"

@@ -17,6 +17,7 @@ recorded in every report.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,7 @@ from .averaging import trapezoid
 from .integrator import TimePartition, residual_samples
 # Imported only as a rebinding target of perfbench/tracing.py.
 from .integrator import solve_cg1  # noqa: F401
-from .reduction import (
-    ModelingOptions,
-    ReducedSystem,
-    SubgridModel,
-    measure_gbar,
-    resolve_short,
-)
+from .reduction import ModelingOptions, SubgridModel, measure_gbar, resolve_short
 from .system import (
     INTERPOLATE_BLOCK,
     Array,
@@ -131,37 +126,37 @@ class ErrorEstimate:
 
 def error_estimate(
     U: Trajectory,
-    reduced: ReducedSystem,
+    reduced: DynamicalSystem,
+    model: SubgridModel,
     phi: Trajectory,
-    gbar_samples: list[tuple[float, Array]],
+    points: Sequence[ControlPoint],
 ) -> ErrorEstimate:
-    """Evaluate the a posteriori bound for the reduced solve U.
+    """Evaluate the a posteriori bound for the solve U of the reduced system
+    that ``model`` assembles.
 
-    ``gbar_samples`` are (time, freshly measured variance) pairs from
+    ``points`` carry the freshly measured variances from
     validate_at_control_points; when empty, the modeling term is zero and the
     estimate is flagged as unvalidated.
     """
     s0, s1 = stability_factors(phi)
-    max_res = max(r for _, r in residual_samples(U, reduced.system.rhs))
-    active = reduced.model.active
-    g = reduced.model.constants
-    if gbar_samples:
-        max_dev = max(
-            float(np.linalg.norm((g - np.asarray(gbar))[active])) for _, gbar in gbar_samples
-        )
+    max_res = float(np.max(residual_samples(U, reduced.rhs)))
+    active = model.active
+    g = model.constants
+    if points:
+        max_dev = max(float(np.linalg.norm((g - p.gbar)[active])) for p in points)
         validated = True
     else:
         max_dev = 0.0
         validated = False
     disc = s1 * max_res
     mod = s0 * max_dev
-    amp = np.abs(reduced.model.oscillation_amplitude)
-    ratio = reduced.model.frozen_deviation / np.maximum(amp, 1e-300)
+    amp = np.abs(model.oscillation_amplitude)
+    ratio = model.frozen_deviation / np.maximum(amp, 1e-300)
     inactive_residual = float(np.max(ratio[~active], initial=0.0))
     return ErrorEstimate(
         S0=s0,
         S1=s1,
-        max_step_residual=float(max_res),
+        max_step_residual=max_res,
         max_model_deviation=max_dev,
         disc_term=disc,
         model_term=mod,
@@ -173,28 +168,15 @@ def error_estimate(
 
 @dataclass(frozen=True)
 class ControlPoint:
+    """A fresh variance measurement at one time along the reduced solve.
+
+    ``deviation`` is the max over active components of |g_model - gbar|.
+    """
+
     time: float
     gbar: Array
     deviation: float
     perturbation: float
-
-
-@dataclass(frozen=True)
-class ControlPointReport:
-    """Fresh variance measurements along the reduced solve.
-
-    ``deviation`` per point is the max over active components of
-    |g_model - g_measured|; points are stored in time order.
-    """
-
-    model: SubgridModel
-    points: tuple[ControlPoint, ...]
-
-    def gbar_samples(self) -> list[tuple[float, Array]]:
-        return [(p.time, p.gbar) for p in self.points]
-
-    def deviations(self) -> list[float]:
-        return [p.deviation for p in self.points]
 
 
 def _perturbation_vector(sys: DynamicalSystem, model: SubgridModel) -> Array:
@@ -216,8 +198,9 @@ def validate_at_control_points(
     model: SubgridModel,
     points,
     opts: ModelingOptions,
-) -> ControlPointReport:
-    """Re-resolve the full system at each control point and re-measure gbar.
+) -> tuple[ControlPoint, ...]:
+    """Re-resolve the full system at each control point (in time order) and
+    re-measure gbar.
 
     Initial data at a control point is the computed reduced solution with the
     frozen components displaced by their recorded oscillation amplitude; the
@@ -227,13 +210,13 @@ def validate_at_control_points(
     """
     delta = _perturbation_vector(sys, model)
     perturbation = float(np.max(np.abs(delta), initial=0.0))
-    report: list[ControlPoint] = []
+    measured: list[ControlPoint] = []
     for t_c in sorted(float(t) for t in points):
         u_c = trajectory_eval(reduced_traj, t_c) + delta
         gbar = measure_gbar(resolve_short(sys, u_c, t_c, opts), sys, opts.tau)
         deviation = float(np.max(np.abs((model.constants - gbar)[model.active]), initial=0.0))
-        report.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
-    return ControlPointReport(model=model, points=tuple(report))
+        measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
+    return tuple(measured)
 
 
 _JACOBIAN_NOTE = (
@@ -259,13 +242,13 @@ def format_estimate_report(est: ErrorEstimate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_control_report(report: ControlPointReport) -> str:
+def format_control_report(model: SubgridModel, points: Sequence[ControlPoint]) -> str:
     """key: value serialization of the control-point validation."""
     lines = [
-        f"n_points: {len(report.points)}",
-        "g_model: " + " ".join(f"{v:.17g}" for v in report.model.constants),
+        f"n_points: {len(points)}",
+        "g_model: " + " ".join(f"{v:.17g}" for v in model.constants),
     ]
-    for i, p in enumerate(report.points, start=1):
+    for i, p in enumerate(points, start=1):
         lines.append(f"point_{i}_time: {p.time:.17g}")
         lines.append(f"point_{i}_deviation: {p.deviation:.17g}")
         lines.append(f"point_{i}_perturbation: {p.perturbation:.17g}")

@@ -23,6 +23,7 @@ from .system import (
     Trajectory,
     frozen_array,
     interpolate,
+    rhs_value,
 )
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
@@ -101,9 +102,10 @@ def solve_cg1(
     opts = opts or SolverOptions()
     times = part.times
     rhs = sys.rhs
+    n = sys.dimension
     tol = opts.fixed_point_tol
 
-    states = np.empty((len(times), sys.dimension))
+    states = np.empty((len(times), n))
     states[0] = sys.initial_value
     u_prev = states[0]
 
@@ -120,7 +122,7 @@ def solve_cg1(
             converged = False
             res = np.inf
             for _ in range(MAX_FIXED_POINT_ITERS):
-                g = u_prev + k * np.asarray(rhs(0.5 * (u_prev + v), t_mid), dtype=float)
+                g = u_prev + k * rhs_value(rhs(0.5 * (u_prev + v), t_mid), n)
                 res = float(np.linalg.norm(g - v))
                 if not np.isfinite(res):
                     break
@@ -140,15 +142,12 @@ def solve_cg1(
     return Trajectory(times, states)
 
 
-def residual_samples(
-    traj: Trajectory, rhs_total: Callable[[Array, float], Array]
-) -> list[tuple[int, float]]:
+def residual_samples(traj: Trajectory, rhs_total: Callable[[Array, float], Array]) -> Array:
     """Per-interval residual r(t) = U' - rhs_total(U, t) of a cG(1) solution.
 
     On each interval U' is the constant chord slope; the residual is sampled
-    at the two Gauss points plus the midpoint, and the list entry for interval
-    j (1-based, matching the node index of its right endpoint) is the maximum
-    of ||k_j r||_2 over the samples.
+    at the two Gauss points plus the midpoint, and entry j - 1 (interval j
+    ends at node j) is the maximum of ||k_j r||_2 over the samples.
     """
     times = traj.times
     left = times[:-1]
@@ -165,4 +164,4 @@ def residual_samples(
                 for slope, u, t in zip(slopes[b], u_s, t_s)
             ]
             worst[b] = np.maximum(worst[b], k[b] * norms)
-    return [(j, float(w)) for j, w in enumerate(worst, start=1)]
+    return worst

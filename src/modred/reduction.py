@@ -18,13 +18,13 @@ of a frozen position component is frozen with it (declared via
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AverageWindow, averaged_values, trapezoid, variance_values
-from .integrator import ConvergenceError, SolverOptions, TimePartition, solve_cg1
-from .system import Array, DynamicalSystem, Trajectory, frozen_array
+from .averaging import averaged_values, trapezoid, variance_values
+from .integrator import ConvergenceError, TimePartition, solve_cg1
+from .system import Array, DynamicalSystem, Trajectory, frozen_array, rhs_value
 
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
@@ -36,33 +36,29 @@ MIN_NODES_PER_PERIOD = 20
 #: Minimum resolved nodes in the fit window [tau/2, 3*tau/2].
 MIN_WINDOW_NODES = 200
 
+#: How far the moving average may drift across the fit window, relative to
+#: max(1, |ubar|), for a component to count as constant-average; also the
+#: relative amplitude above which an oscillation is macroscopic.
+INACTIVE_TOL = 1e-3
+
+#: Factor by which the raw signal's total variation must exceed that of its
+#: average before a component may be frozen.
+OSCILLATION_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class ModelingOptions:
-    """Parameters of the automatic modeling run.
-
-    ``resolved_step`` defaults to tau/500.  ``inactive_tol`` bounds how much
-    the moving average may drift across the fit window (relative to
-    max(1, |ubar|)) for a component to count as constant-average;
-    ``oscillation_factor`` is the factor by which the raw signal's total
-    variation must exceed that of its average before freezing is allowed.
-    """
+    """Parameters of the automatic modeling run; ``resolved_step`` defaults
+    to tau/500."""
 
     tau: float
     resolved_step: float | None = None
-    inactive_tol: float = 1e-3
-    oscillation_factor: float = 10.0
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.resolved_step is not None and not self.resolved_step > 0:
             raise ValueError("resolved_step must be positive")
-        if self.inactive_tol < 0:
-            raise ValueError("inactive_tol must be nonnegative")
-        if self.oscillation_factor <= 1:
-            raise ValueError("oscillation_factor must exceed 1")
 
     @property
     def step(self) -> float:
@@ -119,20 +115,6 @@ class SubgridModel:
         return len(self.constants)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The reduced model: rhs f + g with inactive components frozen.
-
-    ``system`` is the assembled DynamicalSystem ready for solve_cg1; its
-    initial value is the model's averaged start state, and its Jacobian
-    (analytic when the base system has one) carries zero rows for frozen
-    components.
-    """
-
-    model: SubgridModel
-    system: DynamicalSystem
-
-
 def resolve_short(
     sys: DynamicalSystem, u: Array, t: float, opts: ModelingOptions
 ) -> Trajectory:
@@ -142,7 +124,7 @@ def resolve_short(
     t_end = t + 2.0 * opts.tau
     window_sys = dataclasses.replace(sys, initial_value=u, final_time=t_end)
     try:
-        return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step), opts.solver)
+        return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step))
     except ConvergenceError as err:
         raise RuntimeError(
             f"resolved run from t={t:g} diverged on interval {err.interval} "
@@ -167,7 +149,7 @@ def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Arra
     if len(idx) < 2:
         raise ValueError("resolved run too short to measure the variance")
     ts = resolved.times[idx]
-    gbar = variance_values(resolved, sys, AverageWindow(tau), ts)
+    gbar = variance_values(resolved, sys, tau, ts)
     return trapezoid(ts, gbar) / (ts[-1] - ts[0])
 
 
@@ -205,11 +187,10 @@ def fit_constant_subgrid(
     window_times = resolved.times[idx]
     u = resolved.states[idx]
 
-    w = AverageWindow(opts.tau)
-    ubar = averaged_values(resolved, w, window_times)
+    ubar = averaged_values(resolved, opts.tau, window_times)
     scale = np.maximum(1.0, np.max(np.abs(ubar), axis=0))
     amplitude = np.max(np.abs(u - ubar), axis=0)
-    macroscopic = amplitude > opts.inactive_tol * scale
+    macroscopic = amplitude > INACTIVE_TOL * scale
 
     # The rhs-average quadrature must resolve every oscillation large enough
     # to matter; microscopic ripples riding on slow components are exempt.
@@ -226,7 +207,7 @@ def fit_constant_subgrid(
     # genuinely moves on the window scale does not.
     half = len(idx) // 2
     drift = np.abs(np.mean(ubar[half:], axis=0) - np.mean(ubar[:half], axis=0))
-    constant_average = drift <= opts.inactive_tol * scale
+    constant_average = drift <= INACTIVE_TOL * scale
 
     # Oscillation guard: freezing requires the raw total variation to dominate
     # that of the average (so steady components are never inactivated) and the
@@ -234,7 +215,7 @@ def fit_constant_subgrid(
     # because its microscopic fast jiggle outweighs a near-zero drift).
     tv_raw = np.sum(np.abs(np.diff(u, axis=0)), axis=0)
     tv_avg = np.sum(np.abs(np.diff(ubar, axis=0)), axis=0)
-    oscillates = (tv_raw > opts.oscillation_factor * tv_avg) & macroscopic
+    oscillates = (tv_raw > OSCILLATION_FACTOR * tv_avg) & macroscopic
 
     inactive = constant_average & oscillates
     for pos, vel in sys.oscillator_pairs:
@@ -258,7 +239,7 @@ def fit_constant_subgrid(
     frozen_value = trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
     deviation = np.where(inactive, np.max(np.abs(ubar - frozen_value), axis=0), 0.0)
     # ubar at the window's left edge equals ubar(0) under the constant extension.
-    start = averaged_values(resolved, w, np.array([lo]))[0]
+    start = averaged_values(resolved, opts.tau, np.array([lo]))[0]
 
     return SubgridModel(
         constants=constants,
@@ -271,16 +252,23 @@ def fit_constant_subgrid(
     )
 
 
-def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> ReducedSystem:
-    """Wrap f + g with frozen components into a solvable DynamicalSystem."""
+def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSystem:
+    """The reduced system: rhs f + g with inactive components frozen.
+
+    Its initial value is the model's averaged start state, and its Jacobian
+    (analytic when the base system has one) carries zero rows for frozen
+    components.
+    """
     if model.dimension != sys.dimension:
         raise ValueError("model dimension does not match the system")
     frozen = ~model.active
     constants = model.constants
     base_rhs = sys.rhs
+    n = sys.dimension
 
     def reduced_rhs(u, t):
-        out = np.asarray(base_rhs(u, t), dtype=float) + constants
+        # Checked before adding g, which would broadcast a wrong shape.
+        out = rhs_value(base_rhs(u, t), n) + constants
         out[frozen] = 0.0
         return out
 
@@ -293,7 +281,7 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> ReducedSystem
             J[frozen, :] = 0.0
             return J
 
-    system = DynamicalSystem(
+    return DynamicalSystem(
         dimension=sys.dimension,
         rhs=reduced_rhs,
         initial_value=model.initial_value,
@@ -301,7 +289,6 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> ReducedSystem
         jacobian=reduced_jac,
         oscillator_pairs=sys.oscillator_pairs,
     )
-    return ReducedSystem(model=model, system=system)
 
 
 # Kept only as a rebinding target of perfbench/tracing.py; nothing calls it.
@@ -310,8 +297,8 @@ build_reduced = assemble_reduced
 
 def auto_model(
     sys: DynamicalSystem, opts: ModelingOptions
-) -> tuple[ReducedSystem, SubgridModel, Trajectory]:
-    """Resolve, fit, and assemble: the full automatic modeling pipeline."""
+) -> tuple[DynamicalSystem, SubgridModel, Trajectory]:
+    """Resolve, fit, and assemble: returns (reduced system, model, resolved run)."""
     # A step of at most tau/MIN_WINDOW_NODES leaves at least MIN_WINDOW_NODES
     # nodes in the fit window however the partition rounds the step.
     max_step = opts.tau / MIN_WINDOW_NODES

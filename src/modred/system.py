@@ -68,12 +68,18 @@ class DynamicalSystem:
                 raise ValueError(f"oscillator pair ({i}, {j}) out of range")
 
 
+def rhs_value(f, dimension: int) -> Array:
+    """An rhs result as a float vector, or ValueError when its shape is not
+    (dimension,)."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (dimension,):
+        raise ValueError(f"rhs returned shape {f.shape}, expected ({dimension},)")
+    return f
+
+
 def evaluate_rhs(sys: DynamicalSystem, u: Array, t: float) -> Array:
     """Evaluate f(u, t), checking the output for size and finiteness."""
-    u = np.asarray(u, dtype=float)
-    f = np.asarray(sys.rhs(u, t), dtype=float)
-    if f.shape != (sys.dimension,):
-        raise ValueError(f"rhs returned shape {f.shape}, expected ({sys.dimension},)")
+    f = rhs_value(sys.rhs(np.asarray(u, dtype=float), t), sys.dimension)
     if not np.all(np.isfinite(f)):
         bad = int(np.flatnonzero(~np.isfinite(f))[0])
         raise EvaluationError(
@@ -107,7 +113,7 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
             um = u.copy()
             up[j] += h
             um[j] -= h
-            J[:, j] = (sys.rhs(up, t) - sys.rhs(um, t)) / (2.0 * h)
+            J[:, j] = (rhs_value(sys.rhs(up, t), n) - rhs_value(sys.rhs(um, t), n)) / (2.0 * h)
     if not np.isfinite(J).all():
         i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(J)))
         raise EvaluationError(f"{kind} Jacobian entry ({i}, {j}) is non-finite at t={t!r}")

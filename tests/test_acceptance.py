@@ -13,7 +13,6 @@ import pytest
 
 from conftest import rotation_exact, rotation_system
 from modred import (
-    AverageWindow,
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
@@ -23,7 +22,7 @@ from modred import (
     TimePartition,
     assemble_reduced,
     auto_model,
-    average_trajectory,
+    averaged_values,
     diameter,
     error_estimate,
     evaluate_rhs,
@@ -81,7 +80,7 @@ def test_criterion_1_subgrid_constant(stiff_pipeline):
 def test_criterion_2_reduced_solution_accuracy(stiff_pipeline):
     with criterion(2, "reduced solution matches (1/4)(1 - cos t)", 5.0):
         _, _, reduced, _, _ = stiff_pipeline
-        traj = solve_cg1(reduced.system, TimePartition.uniform(0, 100.0, 0.01))
+        traj = solve_cg1(reduced, TimePartition.uniform(0, 100.0, 0.01))
         exact = 0.25 * (1.0 - np.cos(traj.times))
         assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-2
 
@@ -91,7 +90,7 @@ def test_criterion_3_cost_bookkeeping(stiff_pipeline):
         _, _, reduced, _, resolved = stiff_pipeline
         resolved_steps = len(resolved.times) - 1
         part = TimePartition.uniform(0, 100.0, 0.1)
-        traj = solve_cg1(reduced.system, part)
+        traj = solve_cg1(reduced, part)
         reduced_steps = len(traj.times) - 1
         assert reduced_steps == 1000
         assert resolved_steps <= 2000
@@ -104,14 +103,13 @@ def test_criterion_4_oracle_equivalence_moderate_stiffness():
     with criterion(4, "reduced solution tracks averaged brute force (kappa=1e4)", 60.0):
         sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
         brute = solve_cg1(sys, TimePartition.uniform(0, 10.0, 1e-4))
-        w = AverageWindow(0.1)
         nodes = np.linspace(0.05, 9.95, 1987)
-        oracle = average_trajectory(brute, w, nodes)
+        oracle = averaged_values(brute, 0.1, nodes)
 
         reduced, model, _ = auto_model(sys, ModelingOptions(tau=0.1))
-        traj = solve_cg1(reduced.system, TimePartition.uniform(0, 10.0, 0.01))
+        traj = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.01))
         red_u1 = interpolate(traj.times, traj.states, nodes)[1][:, 0]
-        rel = np.max(np.abs(red_u1 - oracle.states[:, 0])) / np.max(np.abs(oracle.states[:, 0]))
+        rel = np.max(np.abs(red_u1 - oracle[:, 0])) / np.max(np.abs(oracle[:, 0]))
         assert rel <= 0.05
 
 
@@ -134,12 +132,12 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
             initial_value=lattice_equilibrium(spec),
         )
         frozen = assemble_reduced(sys, zero_model)
-        base2 = solve_cg1(frozen.system, TimePartition.uniform(0, 20.0, 0.05))
+        base2 = solve_cg1(frozen, TimePartition.uniform(0, 20.0, 0.05))
         D1 = np.array([diameter(base2, spec, float(t)) for t in base2.times])
         assert np.max(np.abs(D1 - np.sqrt(2.0))) <= 1e-6
 
         # automatic modeling: the diameter oscillates and contracts
-        traj = solve_cg1(reduced.system, TimePartition.uniform(0, 20.0, 0.05))
+        traj = solve_cg1(reduced, TimePartition.uniform(0, 20.0, 0.05))
         D = np.array([diameter(traj, spec, float(t)) for t in traj.times])
         assert D.max() - D.min() > 1e-4
         window = (traj.times >= 5.0) & (traj.times <= 10.0)
@@ -161,9 +159,9 @@ def test_criterion_6_dual_and_property_suite():
             initial_value=sys.initial_value,
         )
         reduced = assemble_reduced(sys, trivial)
-        U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, k))
+        U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, k))
         psi = np.array([1.0, 0.0])
-        dp = DualProblem(primal=U, sys=reduced.system, psi=psi, T=1.0)
+        dp = DualProblem(primal=U, sys=reduced, psi=psi, T=1.0)
         phi = solve_dual(dp, k)
 
         # solve_dual matches the analytic adjoint phi(t) = R(T - t)^T psi
@@ -172,13 +170,13 @@ def test_criterion_6_dual_and_property_suite():
         assert np.max(np.abs(phi.states - phi_exact)) <= 1e-4
 
         opts = ModelingOptions(tau=0.1, resolved_step=0.001)
-        report = validate_at_control_points(U, sys, trivial, [0.3, 0.7], opts)
-        est = error_estimate(U, reduced, phi, report.gbar_samples())
+        points = validate_at_control_points(U, sys, trivial, [0.3, 0.7], opts)
+        est = error_estimate(U, reduced, trivial, phi, points)
         e_true = abs(float((U.states[-1] - rotation_exact(sys.initial_value, 1.0)) @ psi))
         assert e_true <= est.total
 
         # dual linearity
-        phi2 = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=3.0 * psi, T=1.0), k)
+        phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=3.0 * psi, T=1.0), k)
         np.testing.assert_allclose(phi2.states, 3.0 * phi.states, rtol=1e-12)
 
         # S-factor homogeneity
@@ -196,7 +194,7 @@ def test_criterion_6_dual_and_property_suite():
         # frozen-component exactness on the stiff model
         stiff = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
         sreduced, smodel, _ = auto_model(stiff, ModelingOptions(tau=1e-7, resolved_step=2e-10))
-        straj = solve_cg1(sreduced.system, TimePartition.uniform(0, 10.0, 0.05))
+        straj = solve_cg1(sreduced, TimePartition.uniform(0, 10.0, 0.05))
         for i in np.flatnonzero(~smodel.active):
             assert np.all(straj.states[:, i] == smodel.initial_value[i])
 
@@ -212,10 +210,9 @@ def test_criterion_6_dual_and_property_suite():
 def test_criterion_7_control_point_validity_decay(lattice_pipeline):
     with criterion(7, "lattice control-point deviation grows over time", 120.0):
         spec, sys, opts, reduced, model, resolved = lattice_pipeline
-        traj = solve_cg1(reduced.system, TimePartition.uniform(0, 24.0, 0.05))
+        traj = solve_cg1(reduced, TimePartition.uniform(0, 24.0, 0.05))
         points = [3.0, 9.0, 15.0, 21.0]
-        report = validate_at_control_points(traj, sys, model, points, opts)
-        devs = report.deviations()
+        devs = [p.deviation for p in validate_at_control_points(traj, sys, model, points, opts)]
         assert len(devs) >= 3
         assert devs[-1] > devs[0]
         slope = np.polyfit(points, devs, 1)[0]

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_system
-from modred import (
-    AverageWindow,
-    DynamicalSystem,
-    Trajectory,
-    average_trajectory,
-    moving_average,
-    variance,
-)
+from modred import DynamicalSystem, Trajectory, averaged_values, variance_values
 
 
 def _cosine_trajectory(omega, t_end, nodes_per_period, components=1):
@@ -21,17 +14,15 @@ def _cosine_trajectory(omega, t_end, nodes_per_period, components=1):
 
 def test_average_preserves_constants():
     traj = Trajectory(np.linspace(0, 1, 51), np.full((51, 2), 3.25))
-    w = AverageWindow(0.2)
-    for t in (0.0, 0.3, 0.77, 1.0):
-        np.testing.assert_allclose(moving_average(traj, w, t), [3.25, 3.25])
+    ts = [0.0, 0.3, 0.77, 1.0]
+    np.testing.assert_allclose(averaged_values(traj, 0.2, ts), np.full((4, 2), 3.25))
 
 
 def test_centered_average_of_affine_is_exact():
     ts = np.linspace(0, 2, 41)
     traj = Trajectory(ts, (2.0 * ts - 0.5)[:, None])
-    w = AverageWindow(0.5)
-    for t in (0.25, 0.8, 1.5, 1.75):
-        np.testing.assert_allclose(moving_average(traj, w, t), [2.0 * t - 0.5], atol=1e-13)
+    t = np.array([0.25, 0.8, 1.5, 1.75])
+    np.testing.assert_allclose(averaged_values(traj, 0.5, t)[:, 0], 2.0 * t - 0.5, atol=1e-13)
 
 
 def test_full_period_average_of_fast_cosine():
@@ -40,19 +31,18 @@ def test_full_period_average_of_fast_cosine():
     omega = 1e9
     period = 2 * np.pi / omega
     traj = _cosine_trajectory(omega, 5 * period, 50)
-    w = AverageWindow(period)
-    for t in np.linspace(1.1 * period, 3.9 * period, 7):
-        assert abs(moving_average(traj, w, t)[0]) <= 1e-3
+    ts = np.linspace(1.1 * period, 3.9 * period, 7)
+    assert np.max(np.abs(averaged_values(traj, period, ts))) <= 1e-3
 
 
 def test_constant_extension_at_both_ends():
     ts = np.linspace(0, 1, 101)
     traj = Trajectory(ts, np.sin(3 * ts)[:, None])
-    w = AverageWindow(0.2)
-    np.testing.assert_array_equal(moving_average(traj, w, 0.0), moving_average(traj, w, 0.1))
-    np.testing.assert_array_equal(moving_average(traj, w, 1.0), moving_average(traj, w, 0.9))
-    out = average_trajectory(traj, w, np.linspace(0, 1, 21))
-    np.testing.assert_array_equal(out.states[0], moving_average(traj, w, 0.1))
+    ends = averaged_values(traj, 0.2, [0.0, 0.1, 1.0, 0.9])
+    np.testing.assert_array_equal(ends[0], ends[1])
+    np.testing.assert_array_equal(ends[2], ends[3])
+    out = averaged_values(traj, 0.2, np.linspace(0, 1, 21))
+    np.testing.assert_array_equal(out[0], ends[1])
 
 
 def test_attenuated_oscillation_amplitude_scale():
@@ -60,8 +50,8 @@ def test_attenuated_oscillation_amplitude_scale():
     # remaining oscillation has amplitude of order 1/(sqrt(kappa) tau) = 1e-2
     omega, tau = 1e9, 1e-7
     traj = _cosine_trajectory(omega, 2e-7, 32)
-    out = average_trajectory(traj, AverageWindow(tau), traj.times[(traj.times >= tau / 2) & (traj.times <= 1.5e-7)])
-    amp = np.max(np.abs(out.states[:, 0]))
+    out = averaged_values(traj, tau, traj.times[(traj.times >= tau / 2) & (traj.times <= 1.5e-7)])
+    amp = np.max(np.abs(out[:, 0]))
     assert 0.1 / (omega * tau) <= amp <= 2.0 / (omega * tau)
 
 
@@ -70,31 +60,29 @@ def test_linearity_on_shared_nodes(rng):
     u = rng.normal(size=(201, 2))
     v = rng.normal(size=(201, 2))
     alpha, beta = 1.7, -0.6
-    w = AverageWindow(0.3)
     combo = Trajectory(ts, alpha * u + beta * v)
-    for t in (0.2, 0.5, 0.9):
-        expected = alpha * moving_average(Trajectory(ts, u), w, t) + beta * moving_average(
-            Trajectory(ts, v), w, t
-        )
-        np.testing.assert_allclose(moving_average(combo, w, t), expected, atol=1e-13)
+    t = [0.2, 0.5, 0.9]
+    expected = alpha * averaged_values(Trajectory(ts, u), 0.3, t) + beta * averaged_values(
+        Trajectory(ts, v), 0.3, t
+    )
+    np.testing.assert_allclose(averaged_values(combo, 0.3, t), expected, atol=1e-13)
 
 
 def test_window_must_fit_trajectory():
     traj = Trajectory(np.linspace(0, 1, 11), np.zeros((11, 1)))
     with pytest.raises(ValueError, match="window"):
-        moving_average(traj, AverageWindow(1.0), 0.5)
-    with pytest.raises(ValueError):
-        AverageWindow(0.0)
+        averaged_values(traj, 1.0, [0.5])
+    with pytest.raises(ValueError, match="positive"):
+        averaged_values(traj, 0.0, [0.5])
 
 
 def test_small_window_reproduces_trajectory_values():
     ts = np.linspace(0, 1, 101)
     dt = ts[1] - ts[0]
     traj = Trajectory(ts, np.sin(2 * ts)[:, None])
-    w = AverageWindow(2 * dt)
-    for t in (0.2, 0.55, 0.8):
-        err = abs(moving_average(traj, w, t)[0] - np.sin(2 * t))
-        assert err <= 10.0 * 4.0 * dt**2  # 10x the local curvature bound
+    t = np.array([0.2, 0.55, 0.8])
+    err = np.abs(averaged_values(traj, 2 * dt, t)[:, 0] - np.sin(2 * t))
+    assert np.max(err) <= 10.0 * 4.0 * dt**2  # 10x the local curvature bound
 
 
 def test_variance_vanishes_for_linear_rhs(rng):
@@ -102,10 +90,8 @@ def test_variance_vanishes_for_linear_rhs(rng):
     sys = linear_system(A, np.zeros(3), 10.0)
     ts = np.linspace(0, 2, 301)
     traj = Trajectory(ts, rng.normal(size=(301, 3)).cumsum(axis=0) * 0.01)
-    w = AverageWindow(0.4)
-    for t in (0.5, 1.0, 1.5):
-        v = variance(traj, sys, w, t)
-        assert np.max(np.abs(v)) <= 1e-12
+    v = variance_values(traj, sys, 0.4, [0.5, 1.0, 1.5])
+    assert np.max(np.abs(v)) <= 1e-12
 
 
 def test_variance_invariant_under_constant_shift():
@@ -118,11 +104,10 @@ def test_variance_invariant_under_constant_shift():
     sys_b = DynamicalSystem(2, lambda u, t: f(u, t) + c, np.zeros(2), 10.0)
     ts = np.linspace(0, 3, 301)
     traj = Trajectory(ts, np.stack([np.sin(5 * ts), np.cos(7 * ts)], axis=1))
-    w = AverageWindow(0.5)
-    for t in (0.5, 1.5, 2.5):
-        va = variance(traj, sys_a, w, t)
-        vb = variance(traj, sys_b, w, t)
-        np.testing.assert_allclose(va, vb, atol=1e-13)
+    t = [0.5, 1.5, 2.5]
+    va = variance_values(traj, sys_a, 0.5, t)
+    vb = variance_values(traj, sys_b, 0.5, t)
+    np.testing.assert_allclose(va, vb, atol=1e-13)
 
 
 def test_variance_of_stiff_oscillator_coupling():
@@ -139,7 +124,7 @@ def test_variance_of_stiff_oscillator_coupling():
         return np.array([u[2], u[3], -u[0] + 0.5 * u[1] ** 2, -omega**2 * u[1]])
 
     sys = DynamicalSystem(4, f, states[0], 1.0)
-    v = variance(traj, sys, AverageWindow(tau), tau)
+    v = variance_values(traj, sys, tau, [tau])[0]
     assert abs(v[2] - 0.25) <= 0.01
 
 
@@ -148,7 +133,7 @@ def test_mean_square_of_fast_oscillation():
     omega, tau = 1e9, 1e-7
     ts = np.linspace(0, 2e-7, 1001)
     traj = Trajectory(ts, (np.cos(omega * ts) ** 2)[:, None])
-    val = moving_average(traj, AverageWindow(tau), tau)[0]
+    val = averaged_values(traj, tau, [tau])[0, 0]
     assert abs(val - 0.5) <= 0.01
 
 
@@ -156,9 +141,9 @@ def test_variance_refuses_boundary_strips():
     sys = DynamicalSystem(1, lambda u, t: u, np.zeros(1), 1.0)
     traj = Trajectory(np.linspace(0, 1, 101), np.linspace(0, 1, 101)[:, None])
     with pytest.raises(ValueError, match="interior"):
-        variance(traj, sys, AverageWindow(0.2), 0.05)
+        variance_values(traj, sys, 0.2, [0.05])
     with pytest.raises(ValueError, match="interior"):
-        variance(traj, sys, AverageWindow(0.2), 0.95)
+        variance_values(traj, sys, 0.2, [0.95])
 
 
 def test_variance_exact_for_affine_data(rng):
@@ -170,13 +155,6 @@ def test_variance_exact_for_affine_data(rng):
     sys = DynamicalSystem(2, lambda u, t: A @ u + c * t, np.zeros(2), 10.0)
     ts = np.linspace(0, 4, 101)
     traj = Trajectory(ts, np.outer(ts, a) + b)
-    for t in (1.0, 2.0, 3.0):
-        np.testing.assert_allclose(
-            variance(traj, sys, AverageWindow(1.0), t), np.zeros(2), atol=1e-13
-        )
-
-
-def test_average_trajectory_validates_output_nodes():
-    traj = Trajectory(np.linspace(0, 1, 11), np.zeros((11, 1)))
-    with pytest.raises(ValueError, match="outside"):
-        average_trajectory(traj, AverageWindow(0.2), np.linspace(-0.5, 0.5, 5))
+    np.testing.assert_allclose(
+        variance_values(traj, sys, 1.0, [1.0, 2.0, 3.0]), np.zeros((3, 2)), atol=1e-13
+    )

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from modred import Trajectory
 from modred.cli import main, parse_config, read_csv, write_csv
@@ -300,3 +301,56 @@ def test_config_overrides_apply(tmp_path):
     assert run_cli("solve", cfg, "--T", "1", "--step", "0.1") == 0
     lines = (tmp_path / "o.csv").read_text().splitlines()
     assert len(lines) == 1 + 11
+
+
+def test_external_file_wrong_shape_rhs_is_a_config_error(tmp_path, capsys):
+    problem = tmp_path / "scalar.py"
+    problem.write_text(
+        """
+import numpy as np
+from modred import DynamicalSystem
+
+def make_system():
+    return DynamicalSystem(2, lambda u, t: -u[0], np.array([1.0, 2.0]), 1.0)
+"""
+    )
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n"
+        f"tau = 0.1\noutput = {tmp_path/'s'}\n",
+    )
+    for command in ("solve", "reduce"):
+        assert run_cli(command, cfg) == 1
+        assert "rhs returned shape (), expected (2,)" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["T", "tau", "reduced_step", "resolved_step", "kappa"])
+def test_nonfinite_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = simple\noutput = {tmp_path/'nf'}\n")
+    assert run_cli("reduce", cfg, f"--{key}", value) == 1
+    assert f"config key {key} must be finite" in capsys.readouterr().err
+
+
+def test_estimate_rejects_tau_other_than_the_fit(tmp_path, capsys):
+    # control points must measure gbar over the window the fit used
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"""
+        problem = simple
+        kappa = 1e18
+        T = 1
+        tau = 1e-7
+        resolved_step = 2e-10
+        reduced_step = 0.05
+        output = {tmp_path/'tau'}
+        """,
+    )
+    assert run_cli("reduce", cfg) == 0
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--tau", "2e-7") == 1
+    err = capsys.readouterr().err
+    assert "config tau = 2e-07" in err and "model's tau = 1e-07" in err
+    assert not (tmp_path / "tau.estimate.txt").exists()
+    assert run_cli("estimate", cfg) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rotation_exact, rotation_system
 from modred import (
-    AverageWindow,
+    ControlPoint,
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
@@ -16,7 +16,7 @@ from modred import (
     Trajectory,
     assemble_reduced,
     auto_model,
-    average_trajectory,
+    averaged_values,
     error_estimate,
     jacobian,
     make_lattice,
@@ -147,7 +147,7 @@ def test_dual_makes_no_rhs_calls(build):
     # both built-in problems carry an analytic Jacobian, so the dual never
     # falls back to finite differences of the rhs
     sys, frozen = build()
-    reduced = assemble_reduced(sys, _frozen_model(sys, frozen)).system
+    reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.05))
     calls = 0
 
@@ -194,26 +194,28 @@ def test_estimate_zero_for_exactly_solved_linear_system():
     # constant rhs is integrated exactly by cG(1): residual and modeling terms
     # both vanish at machine precision
     sys = DynamicalSystem(2, lambda u, t: np.array([1.0, -0.5]), np.zeros(2), 4.0)
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.2, sys.initial_value))
-    U = solve_cg1(reduced.system, TimePartition.uniform(0, 4.0, 0.1))
-    phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=np.array([1.0, 0.0]), T=4.0), 0.1)
+    model = _trivial_model(2, 0.2, sys.initial_value)
+    reduced = assemble_reduced(sys, model)
+    U = solve_cg1(reduced, TimePartition.uniform(0, 4.0, 0.1))
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0]), T=4.0), 0.1)
     opts = ModelingOptions(tau=0.2, resolved_step=0.001)
-    report = validate_at_control_points(U, sys, reduced.model, [1.0, 2.0, 3.0], opts)
-    est = error_estimate(U, reduced, phi, report.gbar_samples())
+    points = validate_at_control_points(U, sys, model, [1.0, 2.0, 3.0], opts)
+    est = error_estimate(U, reduced, model, phi, points)
     assert est.validated
     assert est.total <= 1e-10 * max(est.S1, 1.0)
-    for p in report.points:
+    for p in points:
         assert p.deviation <= 1e-8
 
 
 def test_estimate_bounds_linear_discretization_error():
     sys = rotation_system(T=1.0)
     k = 0.01
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.1, sys.initial_value))
-    U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, k))
+    model = _trivial_model(2, 0.1, sys.initial_value)
+    reduced = assemble_reduced(sys, model)
+    U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, k))
     psi = np.array([1.0, 0.0])
-    phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=psi, T=1.0), k)
-    est = error_estimate(U, reduced, phi, [])
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi, T=1.0), k)
+    est = error_estimate(U, reduced, model, phi, ())
     e_true = abs(float((U.states[-1] - rotation_exact(sys.initial_value, 1.0)) @ psi))
     assert e_true <= est.total
     assert est.total <= 100.0 * e_true  # effectivity sanity, not sharpness
@@ -222,10 +224,12 @@ def test_estimate_bounds_linear_discretization_error():
 
 def test_model_term_zero_when_gbar_matches():
     sys = rotation_system(T=1.0)
-    reduced = assemble_reduced(sys, _trivial_model(2, 0.1, sys.initial_value))
-    U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, 0.01))
-    phi = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=np.array([1.0, 0.0]), T=1.0), 0.01)
-    est = error_estimate(U, reduced, phi, [(0.5, np.zeros(2))])
+    model = _trivial_model(2, 0.1, sys.initial_value)
+    reduced = assemble_reduced(sys, model)
+    U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0]), T=1.0), 0.01)
+    point = ControlPoint(time=0.5, gbar=np.zeros(2), deviation=0.0, perturbation=0.0)
+    est = error_estimate(U, reduced, model, phi, (point,))
     assert est.model_term == 0.0
     assert est.validated
 
@@ -233,11 +237,11 @@ def test_model_term_zero_when_gbar_matches():
 def test_dual_linearity(rng):
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
     reduced, model, resolved = auto_model(sys, ModelingOptions(tau=1e-7, resolved_step=2e-10))
-    U = solve_cg1(reduced.system, TimePartition.uniform(0, 10.0, 0.05))
+    U = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.05))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
     alpha = -2.5
-    phi1 = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=psi, T=10.0), 0.05)
-    phi2 = solve_dual(DualProblem(primal=U, sys=reduced.system, psi=alpha * psi, T=10.0), 0.05)
+    phi1 = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi, T=10.0), 0.05)
+    phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=alpha * psi, T=10.0), 0.05)
     np.testing.assert_allclose(phi2.states, alpha * phi1.states, rtol=1e-10, atol=1e-18)
 
 
@@ -245,11 +249,11 @@ def test_control_points_on_fresh_simple_model():
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
     opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
     reduced, model, resolved = auto_model(sys, opts)
-    U = solve_cg1(reduced.system, TimePartition.uniform(0, 1.0, 0.01))
-    report = validate_at_control_points(U, sys, model, [2e-7, 0.5], opts)
-    for p in report.points:
+    U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
+    points = validate_at_control_points(U, sys, model, [2e-7, 0.5], opts)
+    for p in points:
         assert p.deviation <= 0.01  # refit reproduces the fitted constant
-    assert 0.9 <= report.points[0].perturbation <= 1.1
+    assert 0.9 <= points[0].perturbation <= 1.1
 
 
 def test_corrupted_subgrid_constant_is_caught_and_bounded():
@@ -268,11 +272,11 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
     bad_model = dataclasses.replace(model, constants=bad_constants)
     bad_reduced = assemble_reduced(sys, bad_model)
     k = 0.01
-    U = solve_cg1(bad_reduced.system, TimePartition.uniform(0, 10.0, k))
+    U = solve_cg1(bad_reduced, TimePartition.uniform(0, 10.0, k))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    phi = solve_dual(DualProblem(primal=U, sys=bad_reduced.system, psi=psi, T=10.0), k)
-    report = validate_at_control_points(U, sys, bad_model, [2.5, 5.0, 7.5], opts)
-    est = error_estimate(U, bad_reduced, phi, report.gbar_samples())
+    phi = solve_dual(DualProblem(primal=U, sys=bad_reduced, psi=psi, T=10.0), k)
+    points = validate_at_control_points(U, sys, bad_model, [2.5, 5.0, 7.5], opts)
+    est = error_estimate(U, bad_reduced, bad_model, phi, points)
 
     # the injected error of ~0.25 dominates the estimate
     assert est.model_term > 10.0 * est.disc_term
@@ -280,8 +284,8 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
 
     # oracle: moving average of a fully resolved solve
     brute = solve_cg1(sys, TimePartition.uniform(0, 10.0, 1e-3))
-    oracle = average_trajectory(brute, AverageWindow(1.0), np.linspace(0.5, 9.5, 500))
-    e_true = abs(U.states[-1, 0] - oracle.states[-1, 0])
+    oracle = averaged_values(brute, 1.0, np.linspace(0.5, 9.5, 500))
+    e_true = abs(U.states[-1, 0] - oracle[-1, 0])
     assert e_true <= est.total
 
 

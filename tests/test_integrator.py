@@ -9,7 +9,9 @@ from modred import (
     DynamicalSystem,
     SimpleModelSpec,
     SolverOptions,
+    SubgridModel,
     TimePartition,
+    assemble_reduced,
     make_simple_model,
     residual_samples,
     solve_cg1,
@@ -95,8 +97,7 @@ def test_residuals_zero_for_exactly_solved_system():
     c = np.array([1.5])
     sys = DynamicalSystem(1, lambda u, t: np.zeros(1), c, 1.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.25))
-    for _, r in residual_samples(traj, sys.rhs):
-        assert r == 0.0
+    np.testing.assert_array_equal(residual_samples(traj, sys.rhs), np.zeros(4))
 
 
 def test_residual_midpoint_collocation():
@@ -116,10 +117,8 @@ def test_residual_hand_case_time_dependent_rhs():
     sys = DynamicalSystem(1, lambda u, t: np.array([t]), np.zeros(1), 1.0)
     traj = solve_cg1(sys, TimePartition(np.array([0.0, 1.0])))
     samples = residual_samples(traj, sys.rhs)
-    assert len(samples) == 1
-    j, worst = samples[0]
-    assert j == 1
-    np.testing.assert_allclose(worst, GAUSS_HALF_WIDTH, rtol=1e-12)
+    assert samples.shape == (1,)
+    np.testing.assert_allclose(samples[0], GAUSS_HALF_WIDTH, rtol=1e-12)
 
 
 def test_uniform_partition_counts():
@@ -133,5 +132,31 @@ def test_uniform_partition_counts():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(fixed_point_tol=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        SolverOptions(0.0)
+
+
+def test_wrong_shape_rhs_is_rejected_at_the_first_call():
+    # a scalar rhs would broadcast over both components and solve silently,
+    # on its own and inside the reduced rhs f + g
+    calls = []
+
+    def rhs(u, t):
+        calls.append(t)
+        return -u[0]
+
+    sys = DynamicalSystem(2, rhs, np.array([1.0, 2.0]), 1.0)
+    model = SubgridModel(
+        constants=np.zeros(2),
+        active=np.ones(2, dtype=bool),
+        tau=0.1,
+        fit_window=(0.05, 0.15),
+        oscillation_amplitude=np.zeros(2),
+        frozen_deviation=np.zeros(2),
+        initial_value=sys.initial_value,
+    )
+    for system in (sys, assemble_reduced(sys, model)):
+        calls.clear()
+        with pytest.raises(ValueError, match=r"rhs returned shape \(\), expected \(2,\)"):
+            solve_cg1(system, TimePartition.uniform(0, 1.0, 0.01))
+        assert len(calls) == 1

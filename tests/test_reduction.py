@@ -113,7 +113,7 @@ def test_fit_refuses_underresolved_oscillation():
 def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
     sys, _, reduced, model, _ = stiff_modeling
     u = np.array([0.3, model.initial_value[1], -0.1, model.initial_value[3]])
-    out = evaluate_rhs(reduced.system, u, 0.0)
+    out = evaluate_rhs(reduced, u, 0.0)
     expected_3 = -u[0] + 0.5 * u[1] ** 2 + model.constants[2]
     np.testing.assert_allclose(out[2], expected_3, rtol=1e-12)
     assert out[1] == 0.0 and out[3] == 0.0  # frozen components do not move
@@ -128,7 +128,7 @@ def test_identity_reduction_reproduces_original(rng):
     part = TimePartition.uniform(0, 5.0, 0.01)
     full = solve_cg1(sys, part)
     red = solve_cg1(
-        dataclasses.replace(reduced.system, initial_value=sys.initial_value), part
+        dataclasses.replace(reduced, initial_value=sys.initial_value), part
     )
     # same dynamics up to the tiny fitted constants
     assert np.max(np.abs(full.states - red.states)) <= 1e-8
@@ -146,13 +146,13 @@ def test_all_inactive_model_freezes_everything():
         initial_value=np.array([0.99, -0.1]),
     )
     reduced = assemble_reduced(sys, model)
-    traj = solve_cg1(reduced.system, TimePartition.uniform(0, 5.0, 0.1))
+    traj = solve_cg1(reduced, TimePartition.uniform(0, 5.0, 0.1))
     np.testing.assert_array_equal(traj.states, np.tile(model.initial_value, (51, 1)))
 
 
 def test_frozen_components_exact_at_all_nodes(stiff_modeling):
     _, _, reduced, model, _ = stiff_modeling
-    traj = solve_cg1(reduced.system, TimePartition.uniform(0, 10.0, 0.01))
+    traj = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.01))
     for i in np.flatnonzero(~model.active):
         assert np.all(traj.states[:, i] == model.initial_value[i])
 
@@ -189,7 +189,7 @@ def test_modeling_options_validation():
     with pytest.raises(ValueError):
         ModelingOptions(tau=0.0)
     with pytest.raises(ValueError):
-        ModelingOptions(tau=1.0, inactive_tol=-1.0)
+        ModelingOptions(tau=1.0, resolved_step=0.0)
     with pytest.raises(ValueError):
-        ModelingOptions(tau=1.0, oscillation_factor=0.5)
+        ModelingOptions(tau=1.0, resolved_step=-0.5)
     assert ModelingOptions(tau=1.0).step == pytest.approx(1.0 / 500.0)

@@ -153,3 +153,10 @@ def test_system_validation():
         DynamicalSystem(2, lambda u, t: u, np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         DynamicalSystem(1, lambda u, t: u, np.array([np.nan]), 1.0)
+
+
+def test_fd_jacobian_rejects_wrong_shape_rhs():
+    # a scalar rhs would broadcast into every row of the difference quotient
+    sys = DynamicalSystem(2, lambda u, t: -u[0], np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match=r"rhs returned shape \(\), expected \(2,\)"):
+        jacobian(sys, np.array([1.0, 2.0]), 0.0)
