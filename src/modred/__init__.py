@@ -47,8 +47,8 @@ from .system import (
     EvaluationError,
     Trajectory,
     evaluate_rhs,
+    interpolate,
     jacobian,
-    trajectory_eval,
 )
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "error_estimate",
     "evaluate_rhs",
     "fit_constant_subgrid",
+    "interpolate",
     "jacobian",
     "lattice_equilibrium",
     "make_lattice",
@@ -84,7 +85,6 @@ __all__ = [
     "solve_cg1",
     "solve_dual",
     "stability_factors",
-    "trajectory_eval",
     "validate_at_control_points",
     "variance_values",
 ]

@@ -78,14 +78,6 @@ def averaged_values(traj: Trajectory, tau: float, ts: Array) -> Array:
     return _window_integrals(traj.times, traj.states, a, b) / tau
 
 
-def _rhs_trajectory(traj: Trajectory, sys: DynamicalSystem) -> Trajectory:
-    """f(u(t), t) sampled at every trajectory node, as a trajectory itself."""
-    values = np.empty_like(traj.states)
-    for i, t in enumerate(traj.times):
-        values[i] = evaluate_rhs(sys, traj.states[i], float(t))
-    return Trajectory(traj.times, values)
-
-
 def variance_values(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Array) -> Array:
     """The defect gbar(t) between the averaged rhs and the rhs of the average.
 
@@ -103,9 +95,6 @@ def variance_values(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Arra
             f"variance is only defined on the interior window [{lo!r}, {hi!r}]; "
             f"boundary strips are handled by inactivation, not here"
         )
-    f_avg = averaged_values(_rhs_trajectory(traj, sys), tau, ts)
-    u_avg = averaged_values(traj, tau, ts)
-    f_of_avg = np.empty_like(f_avg)
-    for i, t in enumerate(ts):
-        f_of_avg[i] = evaluate_rhs(sys, u_avg[i], float(t))
-    return f_avg - f_of_avg
+    f_traj = Trajectory(traj.times, evaluate_rhs(sys, traj.states, traj.times))
+    f_avg = averaged_values(f_traj, tau, ts)
+    return f_avg - evaluate_rhs(sys, averaged_values(traj, tau, ts), ts)

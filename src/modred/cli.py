@@ -182,23 +182,15 @@ def parse_psi(raw: str, dimension: int) -> np.ndarray:
 
 def _observable_columns(cfg: RunConfig, spec: LatticeSpec | None, traj: Trajectory):
     funcs = {"diameter": diameter, "d_small": small_mass_distance}
-    cols = []
-    for name in cfg.observable_names():
-        fn = funcs[name]
-        cols.append((name, np.array([fn(traj, spec, float(t)) for t in traj.times])))
-    return cols
+    return [(name, funcs[name](traj.states, spec)) for name in cfg.observable_names()]
 
 
 def write_csv(path: str, traj: Trajectory, extra_columns=()) -> None:
     """CSV with header t,u_1,...,u_N (plus observables), 17 significant digits."""
     names = ["t"] + [f"u_{i + 1}" for i in range(traj.dimension)]
     names += [name for name, _ in extra_columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in range(len(traj.times)):
-            values = [traj.times[row], *traj.states[row]]
-            values += [col[row] for _, col in extra_columns]
-            fh.write(",".join(f"{v:.17g}" for v in values) + "\n")
+    data = np.column_stack([traj.times, traj.states, *(col for _, col in extra_columns)])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
 
 
 def read_csv(path: str, dimension: int) -> Trajectory:
@@ -286,9 +278,15 @@ def cmd_estimate(cfg: RunConfig) -> int:
         )
     reduced = assemble_reduced(system, model)
     traj = read_csv(str(csv_path), system.dimension)
+    if cfg.T != traj.times[-1]:
+        # Control points and the dual must cover the reduced solve that exists.
+        raise ValueError(
+            f"config T = {cfg.T!r} differs from the final time {float(traj.times[-1])!r} "
+            f"of {csv_path}; estimate with the T that `modred reduce` used"
+        )
 
     psi = parse_psi(cfg.psi, system.dimension)
-    dp = DualProblem(primal=traj, sys=reduced, psi=psi, T=float(traj.times[-1]))
+    dp = DualProblem(primal=traj, sys=reduced, psi=psi, T=cfg.T)
     phi = solve_dual(dp, cfg.reduced_step)
 
     opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)

@@ -35,7 +35,6 @@ from .system import (
     frozen_array,
     interpolate,
     jacobian,
-    trajectory_eval,
 )
 
 
@@ -139,7 +138,7 @@ def error_estimate(
     estimate is flagged as unvalidated.
     """
     s0, s1 = stability_factors(phi)
-    max_res = float(np.max(residual_samples(U, reduced.rhs)))
+    max_res = float(np.max(residual_samples(U, reduced)))
     active = model.active
     g = model.constants
     if points:
@@ -184,11 +183,8 @@ def _perturbation_vector(sys: DynamicalSystem, model: SubgridModel) -> Array:
     signed with the recorded oscillation phase so the original mode shape is
     re-excited.  Velocity partners of declared oscillator pairs are left
     untouched so that the re-excited oscillation has the original energy."""
-    delta = np.zeros(model.dimension)
-    paired_velocities = {vel for _, vel in sys.oscillator_pairs}
-    for i in range(model.dimension):
-        if not model.active[i] and i not in paired_velocities:
-            delta[i] = model.oscillation_amplitude[i]
+    delta = np.where(model.active, 0.0, model.oscillation_amplitude)
+    delta[[vel for _, vel in sys.oscillator_pairs]] = 0.0
     return delta
 
 
@@ -211,8 +207,9 @@ def validate_at_control_points(
     delta = _perturbation_vector(sys, model)
     perturbation = float(np.max(np.abs(delta), initial=0.0))
     measured: list[ControlPoint] = []
-    for t_c in sorted(float(t) for t in points):
-        u_c = trajectory_eval(reduced_traj, t_c) + delta
+    times = np.sort(np.asarray(points, dtype=float))
+    _, starts = interpolate(reduced_traj.times, reduced_traj.states, times)
+    for t_c, u_c in zip(times.tolist(), starts + delta):
         gbar = measure_gbar(resolve_short(sys, u_c, t_c, opts), sys, opts.tau)
         deviation = float(np.max(np.abs((model.constants - gbar)[model.active]), initial=0.0))
         measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))

@@ -12,7 +12,6 @@ the iteration diverges and the solver raises rather than returning garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .system import (
     Array,
     DynamicalSystem,
     Trajectory,
+    evaluate_rhs,
     frozen_array,
     interpolate,
     rhs_value,
@@ -142,8 +142,8 @@ def solve_cg1(
     return Trajectory(times, states)
 
 
-def residual_samples(traj: Trajectory, rhs_total: Callable[[Array, float], Array]) -> Array:
-    """Per-interval residual r(t) = U' - rhs_total(U, t) of a cG(1) solution.
+def residual_samples(traj: Trajectory, sys: DynamicalSystem) -> Array:
+    """Per-interval residual r(t) = U' - f(U, t) of a cG(1) solution of sys.
 
     On each interval U' is the constant chord slope; the residual is sampled
     at the two Gauss points plus the midpoint, and entry j - 1 (interval j
@@ -159,9 +159,7 @@ def residual_samples(traj: Trajectory, rhs_total: Callable[[Array, float], Array
         for offset in (-_GAUSS_OFFSET, 0.0, _GAUSS_OFFSET):
             t_s = left[b] + 0.5 * k[b] + offset * k[b]
             _, u_s = interpolate(times, traj.states, t_s)
-            norms = [
-                np.linalg.norm(slope - np.asarray(rhs_total(u, t), dtype=float))
-                for slope, u, t in zip(slopes[b], u_s, t_s)
-            ]
+            # One norm per row: a vectorized norm rounds differently.
+            norms = [np.linalg.norm(r) for r in slopes[b] - evaluate_rhs(sys, u_s, t_s)]
             worst[b] = np.maximum(worst[b], k[b] * norms)
     return worst

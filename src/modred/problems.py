@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import Array, DynamicalSystem, Trajectory, trajectory_eval
+from .system import Array, DynamicalSystem
 
 
 @dataclass(frozen=True)
@@ -236,26 +236,25 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     )
 
 
-def _mass_position(state: Array, spec: LatticeSpec, mass_index: int) -> Array:
-    expected = 4 * (spec.n_large + spec.n_small)
-    if len(state) != expected:
-        raise ValueError(
-            f"state has {len(state)} components, lattice p={spec.p} needs {expected}"
-        )
-    return state[2 * mass_index : 2 * mass_index + 2]
+def _distance(states: Array, spec: LatticeSpec, a: int, b: int) -> Array:
+    """Per lattice state row, the distance between masses a and b."""
+    states = np.asarray(states, dtype=float)
+    n = 4 * (spec.n_large + spec.n_small)
+    if states.ndim != 2 or states.shape[1] != n:
+        raise ValueError(f"states of shape {states.shape}: lattice p={spec.p} needs {n} components")
+    d = (states[:, 2 * b : 2 * b + 2] - states[:, 2 * a : 2 * a + 2])[:, None, :]
+    # matmul takes the dot product that np.linalg.norm takes of one row; a sum
+    # over the row rounds differently.
+    return np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
 
 
-def diameter(traj: Trajectory, spec: LatticeSpec, t: float) -> float:
-    """Distance between the corner large masses at (0, 0) and (1, 1)."""
-    state = trajectory_eval(traj, t)
-    lower = _mass_position(state, spec, 0)
-    upper = _mass_position(state, spec, spec.n_large - 1)
-    return float(np.linalg.norm(upper - lower))
+def diameter(states: Array, spec: LatticeSpec) -> Array:
+    """Per state row, the distance between the corner large masses at (0, 0)
+    and (1, 1)."""
+    return _distance(states, spec, 0, spec.n_large - 1)
 
 
-def small_mass_distance(traj: Trajectory, spec: LatticeSpec, t: float) -> float:
-    """Distance between the large mass at (0, 0) and its cell's small mass."""
-    state = trajectory_eval(traj, t)
-    lower = _mass_position(state, spec, 0)
-    small = _mass_position(state, spec, spec.n_large)
-    return float(np.linalg.norm(small - lower))
+def small_mass_distance(states: Array, spec: LatticeSpec) -> Array:
+    """Per state row, the distance between the large mass at (0, 0) and its
+    cell's small mass."""
+    return _distance(states, spec, 0, spec.n_large)

@@ -158,14 +158,10 @@ def _check_resolution(u: Array, check: Array) -> float:
 
     Components with fewer than a handful of direction reversals are treated as
     non-oscillating and skipped."""
-    worst = np.inf
-    n_samples = u.shape[0]
-    for i in np.flatnonzero(check):
-        d = np.diff(u[:, i])
-        changes = int(np.sum(d[1:] * d[:-1] < 0.0))
-        if changes >= 8:
-            worst = min(worst, 2.0 * (n_samples - 1) / changes)
-    return worst
+    d = np.diff(u[:, check], axis=0)
+    changes = np.sum(d[1:] * d[:-1] < 0.0, axis=0)
+    most = int(np.max(changes[changes >= 8], initial=0))
+    return 2.0 * (u.shape[0] - 1) / most if most else np.inf
 
 
 def fit_constant_subgrid(
@@ -357,11 +353,17 @@ def parse_model_report(text: str) -> SubgridModel:
             raise ValueError(f"model report is missing the '# {key} = ...' header")
         return np.array([float(v) for v in meta[key].split()])
 
+    def scalar(key):
+        values = vector(key)
+        if len(values) != 1:
+            raise ValueError(f"model report header '# {key}' must hold one value, got {len(values)}")
+        return float(values[0])
+
     window = vector("fit_window")
     return SubgridModel(
         constants=np.array([r[2] for r in rows]),
         active=np.array([r[1] for r in rows]),
-        tau=float(vector("tau")[0]),
+        tau=scalar("tau"),
         fit_window=(float(window[0]), float(window[1])),
         oscillation_amplitude=vector("oscillation_amplitude"),
         frozen_deviation=vector("frozen_deviation"),

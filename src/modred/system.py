@@ -77,15 +77,26 @@ def rhs_value(f, dimension: int) -> Array:
     return f
 
 
-def evaluate_rhs(sys: DynamicalSystem, u: Array, t: float) -> Array:
-    """Evaluate f(u, t), checking the output for size and finiteness."""
-    f = rhs_value(sys.rhs(np.asarray(u, dtype=float), t), sys.dimension)
-    if not np.all(np.isfinite(f)):
-        bad = int(np.flatnonzero(~np.isfinite(f))[0])
+def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
+    """f(u_i, t_i) for the rows u_i of ``states`` at the ``times`` t_i, as a
+    (rows, dimension) array.  Each value passes the shape check of rhs_value,
+    and a non-finite one raises EvaluationError naming the first bad t and
+    component."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((times.size, sys.dimension))
+    if times.ndim != 1 or np.shape(states) != out.shape:
+        raise ValueError(f"states of shape {np.shape(states)} for times of shape {times.shape}")
+    rhs, n = sys.rhs, sys.dimension
+    for i, (u, t) in enumerate(zip(np.asarray(states, dtype=float), times.tolist())):
+        out[i] = rhs_value(rhs(u, t), n)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        row, comp = (int(k[0]) for k in np.nonzero(bad))
         raise EvaluationError(
-            f"rhs component {bad} is non-finite at t={t!r} (overflow or invalid state)"
+            f"rhs component {comp} is non-finite at t={float(times[row])!r} "
+            f"(overflow or invalid state)"
         )
-    return f
+    return out
 
 
 def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
@@ -158,20 +169,17 @@ class Trajectory:
         return float(self.times[0]), float(self.times[-1])
 
 
-def trajectory_eval(traj: Trajectory, t: float) -> Array:
-    """Value of the piecewise-linear trajectory at time t (exact at nodes)."""
-    t0, t1 = traj.span
-    if t < t0 or t > t1:
-        raise ValueError(f"t={t!r} outside trajectory domain [{t0!r}, {t1!r}]")
-    return interpolate(traj.times, traj.states, np.array([t]))[1][0]
-
-
 def interpolate(times: Array, values: Array, ts: Array) -> tuple[Array, Array]:
     """Piecewise-linear interpolation of nodal ``values`` at the times ``ts``.
 
     Returns the index of each time's interval (its left node) and the
-    interpolated rows.  Callers guarantee that ts lies in [times[0], times[-1]].
+    interpolated rows.  A time outside [times[0], times[-1]] raises ValueError.
     """
+    ts = np.asarray(ts, dtype=float)
+    t0, t1 = float(times[0]), float(times[-1])
+    outside = ts[~((ts >= t0) & (ts <= t1))]
+    if len(outside):
+        raise ValueError(f"t={float(outside[0])!r} outside trajectory domain [{t0!r}, {t1!r}]")
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
     left = times[idx]
     theta = (ts - left) / (times[idx + 1] - left)

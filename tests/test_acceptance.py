@@ -121,7 +121,7 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
         quiet_spec = dataclasses.replace(spec, initial_small_displacement=0.0, T=20.0)
         quiet = make_lattice(quiet_spec)
         base = solve_cg1(quiet, TimePartition.uniform(0, 20.0, 0.05))
-        D0 = np.array([diameter(base, quiet_spec, float(t)) for t in base.times])
+        D0 = diameter(base.states, quiet_spec)
         assert np.max(np.abs(D0 - np.sqrt(2.0))) <= 1e-6
 
         # baseline B: fitted inactivation mask with the subgrid constants
@@ -133,12 +133,12 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
         )
         frozen = assemble_reduced(sys, zero_model)
         base2 = solve_cg1(frozen, TimePartition.uniform(0, 20.0, 0.05))
-        D1 = np.array([diameter(base2, spec, float(t)) for t in base2.times])
+        D1 = diameter(base2.states, spec)
         assert np.max(np.abs(D1 - np.sqrt(2.0))) <= 1e-6
 
         # automatic modeling: the diameter oscillates and contracts
         traj = solve_cg1(reduced, TimePartition.uniform(0, 20.0, 0.05))
-        D = np.array([diameter(traj, spec, float(t)) for t in traj.times])
+        D = diameter(traj.states, spec)
         assert D.max() - D.min() > 1e-4
         window = (traj.times >= 5.0) & (traj.times <= 10.0)
         assert np.mean(D[window]) < np.sqrt(2.0)
@@ -188,7 +188,7 @@ def test_criterion_6_dual_and_property_suite():
         # zero variance for linear f
         lin_reduced, lin_model, _ = auto_model(sys, ModelingOptions(tau=0.05))
         assert lin_model.active.all()
-        f0 = evaluate_rhs(sys, sys.initial_value, 0.0)
+        f0 = evaluate_rhs(sys, [sys.initial_value], [0.0])
         assert np.max(np.abs(lin_model.constants)) <= 1e-6 * np.max(np.abs(f0)) + 1e-12
 
         # frozen-component exactness on the stiff model

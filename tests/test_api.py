@@ -1,5 +1,6 @@
-"""Package hygiene: modules share only public names, and every name that
-``modred.__all__`` exports exists."""
+"""Package hygiene: modules share only public names, every name that
+``modred.__all__`` exports exists, and rhs values are taken through the
+checked kernels only."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_no_private_imports_across_modules():
 def test_every_exported_name_resolves():
     assert [name for name in modred.__all__ if not hasattr(modred, name)] == []
     assert len(set(modred.__all__)) == len(modred.__all__)
+
+
+# (module, top-level function) pairs that may read a system's ``.rhs``; the
+# whole of system.py may.  Everything else goes through ``evaluate_rhs``.
+RHS_READERS = {("integrator.py", "solve_cg1"), ("reduction.py", "assemble_reduced")}
+
+
+def test_only_the_kernels_read_rhs():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "system.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            offenders += [
+                f"{path.name}:{node.lineno} in {owner}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "rhs"
+                and (path.name, owner) not in RHS_READERS
+            ]
+    assert offenders == []

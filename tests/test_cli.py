@@ -354,3 +354,45 @@ def test_estimate_rejects_tau_other_than_the_fit(tmp_path, capsys):
     assert "config tau = 2e-07" in err and "model's tau = 1e-07" in err
     assert not (tmp_path / "tau.estimate.txt").exists()
     assert run_cli("estimate", cfg) == 0
+
+
+
+def _reduce_short_simple(tmp_path, name):
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"""
+        problem = simple
+        kappa = 1e18
+        T = 1
+        tau = 1e-7
+        resolved_step = 2e-10
+        reduced_step = 0.05
+        output = {tmp_path/name}
+        """,
+    )
+    assert run_cli("reduce", cfg) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("T", ["0.5", "2"])
+def test_estimate_rejects_T_other_than_the_reduced_solve(tmp_path, capsys, T):
+    # control points and the dual must cover the reduced solve on disk: a
+    # shorter T used to skip its tail, a longer one failed far from the cause
+    cfg = _reduce_short_simple(tmp_path, "T")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--T", T) == 1
+    err = capsys.readouterr().err
+    assert f"config T = {float(T)!r}" in err and "final time 1.0" in err
+    assert not (tmp_path / "T.estimate.txt").exists()
+
+
+def test_estimate_rejects_malformed_model_header(tmp_path, capsys):
+    cfg = _reduce_short_simple(tmp_path, "hdr")
+    model_path = tmp_path / "hdr.model.txt"
+    lines = model_path.read_text().splitlines()
+    model_path.write_text(
+        "\n".join("# tau =" if line.startswith("# tau") else line for line in lines) + "\n"
+    )
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    assert "'# tau' must hold one value, got 0" in capsys.readouterr().err

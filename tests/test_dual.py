@@ -18,13 +18,13 @@ from modred import (
     auto_model,
     averaged_values,
     error_estimate,
+    interpolate,
     jacobian,
     make_lattice,
     make_simple_model,
     solve_cg1,
     solve_dual,
     stability_factors,
-    trajectory_eval,
     validate_at_control_points,
 )
 
@@ -165,8 +165,8 @@ def test_dual_makes_no_rhs_calls(build):
 
 
 def _dual_reference(dp, step):
-    """solve_dual's states by one trajectory_eval per step, the loop that
-    the batched midpoint interpolation replaced."""
+    """solve_dual's states by one single-time interpolation per step, the
+    loop that the batched midpoint interpolation replaced."""
     t_start, t_end = dp.primal.span
     s = TimePartition.uniform(0.0, dp.T - t_start, step).times
     eye = np.eye(len(dp.psi))
@@ -174,7 +174,8 @@ def _dual_reference(dp, step):
     for j in range(1, len(s)):
         k = float(s[j] - s[j - 1])
         t_mid = dp.T - 0.5 * (float(s[j]) + float(s[j - 1]))
-        u_mid = trajectory_eval(dp.primal, min(max(t_mid, t_start), t_end))
+        t_in = np.array([min(max(t_mid, t_start), t_end)])
+        u_mid = interpolate(dp.primal.times, dp.primal.states, t_in)[1][0]
         A = jacobian(dp.sys, u_mid, t_mid).T
         phi.append(np.linalg.solve(eye - 0.5 * k * A, phi[-1] + 0.5 * k * (A @ phi[-1])))
     return np.array(phi[::-1])

@@ -7,10 +7,12 @@ from conftest import rotation_system
 from modred import (
     ConvergenceError,
     DynamicalSystem,
+    EvaluationError,
     SimpleModelSpec,
     SolverOptions,
     SubgridModel,
     TimePartition,
+    Trajectory,
     assemble_reduced,
     make_simple_model,
     residual_samples,
@@ -97,7 +99,7 @@ def test_residuals_zero_for_exactly_solved_system():
     c = np.array([1.5])
     sys = DynamicalSystem(1, lambda u, t: np.zeros(1), c, 1.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.25))
-    np.testing.assert_array_equal(residual_samples(traj, sys.rhs), np.zeros(4))
+    np.testing.assert_array_equal(residual_samples(traj, sys), np.zeros(4))
 
 
 def test_residual_midpoint_collocation():
@@ -116,9 +118,23 @@ def test_residual_hand_case_time_dependent_rhs():
     # the Gauss samples give |k r| = 1/(2 sqrt 3)
     sys = DynamicalSystem(1, lambda u, t: np.array([t]), np.zeros(1), 1.0)
     traj = solve_cg1(sys, TimePartition(np.array([0.0, 1.0])))
-    samples = residual_samples(traj, sys.rhs)
+    samples = residual_samples(traj, sys)
     assert samples.shape == (1,)
     np.testing.assert_allclose(samples[0], GAUSS_HALF_WIDTH, rtol=1e-12)
+
+
+def test_residual_samples_check_every_rhs_value():
+    # residual sampling takes rhs values through the same checks as the fit:
+    # a scalar would broadcast over both components, a NaN would become the
+    # residual
+    traj = Trajectory([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    scalar = DynamicalSystem(2, lambda u, t: 0.0, np.zeros(2), 2.0)
+    with pytest.raises(ValueError, match=r"rhs returned shape \(\), expected \(2,\)"):
+        residual_samples(traj, scalar)
+    nan = DynamicalSystem(2, lambda u, t: np.array([t, np.nan]), np.zeros(2), 2.0)
+    t_first = float(0.5 - GAUSS_HALF_WIDTH)
+    with pytest.raises(EvaluationError, match=rf"component 1 is non-finite at t={t_first!r}"):
+        residual_samples(traj, nan)
 
 
 def test_uniform_partition_counts():

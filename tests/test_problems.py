@@ -24,7 +24,7 @@ def test_simple_model_rhs_and_pairs():
     kappa = 7.0
     sys = make_simple_model(SimpleModelSpec(kappa=kappa, T=1.0))
     np.testing.assert_allclose(
-        evaluate_rhs(sys, sys.initial_value, 0.0), [0.0, 0.0, 0.5, -kappa]
+        evaluate_rhs(sys, [sys.initial_value], [0.0]), [[0.0, 0.0, 0.5, -kappa]]
     )
     assert sys.oscillator_pairs == ((1, 3),)
 
@@ -72,24 +72,24 @@ def test_lattice_initial_diameter(lattice_spec):
     sys = make_lattice(lattice_spec)
     ts = np.array([0.0, 1.0])
     traj = Trajectory(ts, np.tile(sys.initial_value, (2, 1)))
-    assert diameter(traj, lattice_spec, 0.0) == pytest.approx(np.sqrt(2.0))
+    np.testing.assert_allclose(diameter(traj.states, lattice_spec), np.sqrt(2.0))
 
 
 def test_lattice_equilibrium_is_force_free(lattice_spec):
     sys = make_lattice(lattice_spec)
     eq = lattice_equilibrium(lattice_spec)
-    np.testing.assert_array_equal(evaluate_rhs(sys, eq, 0.0), np.zeros(sys.dimension))
+    np.testing.assert_array_equal(evaluate_rhs(sys, [eq], [0.0]), np.zeros((1, sys.dimension)))
 
 
 def test_lattice_small_mass_geometry():
     spec = LatticeSpec(p=3, m=1e-4, initial_small_displacement=0.0, T=1.0)
     sys = make_lattice(spec)
     traj = Trajectory([0.0, 1.0], np.tile(sys.initial_value, (2, 1)))
-    assert small_mass_distance(traj, spec, 0.0) == pytest.approx(np.sqrt(2.0) / 4.0)
+    np.testing.assert_allclose(small_mass_distance(traj.states, spec), np.sqrt(2.0) / 4.0)
     spec2 = LatticeSpec(p=2, m=1e-4, initial_small_displacement=0.0, T=1.0)
     sys2 = make_lattice(spec2)
     traj2 = Trajectory([0.0, 1.0], np.tile(sys2.initial_value, (2, 1)))
-    assert small_mass_distance(traj2, spec2, 0.0) == pytest.approx(np.sqrt(2.0) / 2.0)
+    np.testing.assert_allclose(small_mass_distance(traj2.states, spec2), np.sqrt(2.0) / 2.0)
 
 
 def test_lattice_fast_period(lattice_spec, resolved_lattice):
@@ -109,7 +109,7 @@ def test_small_mass_distance_oscillates_at_double_frequency(lattice_spec, resolv
     # d measures the distance to a corner transverse to the oscillation, so it
     # varies quadratically in the displacement: twice the mechanical frequency
     sys, traj = resolved_lattice
-    d = np.array([small_mass_distance(traj, lattice_spec, float(t)) for t in traj.times])
+    d = small_mass_distance(traj.states, lattice_spec)
     assert d.max() - d.min() > 1e-6
     dc = d - np.mean(d)
     crossings = int(np.sum(dc[1:] * dc[:-1] < 0))
@@ -136,14 +136,13 @@ def test_diameter_translation_invariance(lattice_spec):
     shifted = u.copy()
     n_pos = 2 * (lattice_spec.n_large + lattice_spec.n_small)
     shifted[:n_pos] += 0.37  # translate every coordinate
-    traj = Trajectory([0.0, 1.0], np.stack([u, shifted]))
-    assert diameter(traj, lattice_spec, 0.0) == pytest.approx(diameter(traj, lattice_spec, 1.0))
+    d = diameter(np.stack([u, shifted]), lattice_spec)
+    assert d[0] == pytest.approx(d[1])
 
 
 def test_diameter_dimension_mismatch(lattice_spec):
-    traj = Trajectory([0.0, 1.0], np.zeros((2, 8)))
     with pytest.raises(ValueError, match="components"):
-        diameter(traj, lattice_spec, 0.0)
+        diameter(np.zeros((2, 8)), lattice_spec)
 
 
 def test_lattice_spec_validation():

@@ -80,7 +80,7 @@ def test_fit_linear_system_all_active_zero_constants(rng):
     sys = linear_system(A, [1.0, 0.0], 100.0)
     reduced, model, resolved = auto_model(sys, ModelingOptions(tau=0.5))
     assert model.active.all()
-    f0 = evaluate_rhs(sys, sys.initial_value, 0.0)
+    f0 = evaluate_rhs(sys, [sys.initial_value], [0.0])
     assert np.max(np.abs(model.constants)) <= 1e-6 * np.max(np.abs(f0)) + 1e-12
 
 
@@ -113,7 +113,7 @@ def test_fit_refuses_underresolved_oscillation():
 def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
     sys, _, reduced, model, _ = stiff_modeling
     u = np.array([0.3, model.initial_value[1], -0.1, model.initial_value[3]])
-    out = evaluate_rhs(reduced, u, 0.0)
+    out = evaluate_rhs(reduced, [u], [0.0])[0]
     expected_3 = -u[0] + 0.5 * u[1] ** 2 + model.constants[2]
     np.testing.assert_allclose(out[2], expected_3, rtol=1e-12)
     assert out[1] == 0.0 and out[3] == 0.0  # frozen components do not move
@@ -183,6 +183,15 @@ def test_model_report_round_trip(stiff_modeling):
     np.testing.assert_array_equal(parsed.oscillation_amplitude, model.oscillation_amplitude)
     np.testing.assert_array_equal(parsed.initial_value, model.initial_value)
     assert parsed.tau == model.tau and parsed.fit_window == model.fit_window
+
+
+@pytest.mark.parametrize("value", ["", "1e-07 2e-07"])
+def test_model_report_scalar_header_needs_one_value(stiff_modeling, value):
+    _, _, _, model, _ = stiff_modeling
+    lines = format_model_report(model).splitlines()
+    text = "\n".join(f"# tau = {value}" if line.startswith("# tau") else line for line in lines)
+    with pytest.raises(ValueError, match=r"'# tau' must hold one value"):
+        parse_model_report(text)
 
 
 def test_modeling_options_validation():

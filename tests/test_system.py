@@ -8,21 +8,21 @@ from modred import (
     SimpleModelSpec,
     Trajectory,
     evaluate_rhs,
+    interpolate,
     jacobian,
     make_simple_model,
-    trajectory_eval,
 )
 
 
 def test_simple_model_rhs_at_initial_value():
     sys = make_simple_model(SimpleModelSpec(kappa=1.0, T=1.0))
-    f = evaluate_rhs(sys, np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
-    np.testing.assert_allclose(f, [0.0, 0.0, 0.5, -1.0])
+    f = evaluate_rhs(sys, np.array([[0.0, 1.0, 0.0, 0.0]]), [0.0])
+    np.testing.assert_allclose(f, [[0.0, 0.0, 0.5, -1.0]])
 
 
 def test_zero_field_rhs():
     sys = DynamicalSystem(3, lambda u, t: np.zeros(3), np.ones(3), 1.0)
-    np.testing.assert_array_equal(evaluate_rhs(sys, sys.initial_value, 0.5), np.zeros(3))
+    np.testing.assert_array_equal(evaluate_rhs(sys, [sys.initial_value], [0.5]), np.zeros((1, 3)))
 
 
 def test_linear_rhs_returns_matrix_column(rng):
@@ -30,14 +30,14 @@ def test_linear_rhs_returns_matrix_column(rng):
     sys = linear_system(A, np.zeros(4), 1.0)
     e1 = np.zeros(4)
     e1[0] = 1.0
-    np.testing.assert_allclose(evaluate_rhs(sys, e1, 0.0), A[:, 0])
+    np.testing.assert_allclose(evaluate_rhs(sys, [e1], [0.0]), [A[:, 0]])
 
 
 def test_rhs_does_not_mutate_input():
     sys = make_simple_model(SimpleModelSpec(kappa=2.0, T=1.0))
     u = np.array([0.3, -0.2, 0.1, 0.7])
     snapshot = u.copy()
-    evaluate_rhs(sys, u, 0.1)
+    evaluate_rhs(sys, u[None], [0.1])
     np.testing.assert_array_equal(u, snapshot)
 
 
@@ -47,7 +47,39 @@ def test_nonfinite_rhs_reports_component():
 
     sys = DynamicalSystem(2, bad, np.zeros(2), 1.0)
     with pytest.raises(EvaluationError, match="component 1"):
-        evaluate_rhs(sys, sys.initial_value, 0.0)
+        evaluate_rhs(sys, [sys.initial_value], [0.0])
+
+
+def test_batch_rhs_names_first_bad_time_and_component():
+    def rhs(u, t):
+        return np.array([0.0, 1.0 / u[0] if t > 0.2 else 0.0, np.sqrt(u[0]) - 1.0])
+
+    sys = DynamicalSystem(3, rhs, np.ones(3), 1.0)
+    states = np.array([[1.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0], [-1.0, 0, 0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match=r"component 1 is non-finite at t=0\.5 "):
+            evaluate_rhs(sys, states, [0.0, 0.25, 0.5, 0.75])
+
+
+def test_batch_rhs_values_and_plain_float_times():
+    seen = []
+
+    def rhs(u, t):
+        seen.append(type(t))
+        return np.array([t, -u[0]])
+
+    sys = DynamicalSystem(2, rhs, np.zeros(2), 1.0)
+    out = evaluate_rhs(sys, np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.1, 0.2]))
+    np.testing.assert_array_equal(out, [[0.1, -1.0], [0.2, -2.0]])
+    assert seen == [float, float]
+
+
+def test_batch_rhs_rejects_mismatched_rows():
+    sys = DynamicalSystem(2, lambda u, t: -u, np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_rhs(sys, np.zeros((3, 2)), [0.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_rhs(sys, np.zeros(2), [0.0])
 
 
 def test_nonfinite_analytic_jacobian_reports_entry():
@@ -69,39 +101,44 @@ def test_nonfinite_fd_jacobian_reports_entry():
             jacobian(sys, sys.initial_value, 0.0)
 
 
-def test_trajectory_eval_linear_interpolation():
+def _interpolate_rows(traj, ts):
+    return interpolate(traj.times, traj.states, np.asarray(ts, dtype=float))[1]
+
+
+def test_interpolate_linear_interpolation():
     traj = Trajectory([0.0, 1.0], [[0.0], [2.0]])
-    np.testing.assert_allclose(trajectory_eval(traj, 0.5), [1.0])
+    np.testing.assert_allclose(_interpolate_rows(traj, [0.5]), [[1.0]])
 
 
-def test_trajectory_eval_nodal_identity():
+def test_interpolate_nodal_identity():
     traj = Trajectory([0.0, 0.3, 1.0], [[1.0, 2.0], [3.0, -1.0], [0.0, 0.0]])
-    for i, t in enumerate(traj.times):
-        np.testing.assert_array_equal(trajectory_eval(traj, float(t)), traj.states[i])
+    np.testing.assert_array_equal(_interpolate_rows(traj, traj.times), traj.states)
 
 
-def test_trajectory_eval_chord_of_quadratic():
+def test_interpolate_chord_of_quadratic():
     # nodes of u(t) = t**2 at {0, 0.5, 1}; the chord between (0,0) and
     # (0.5,0.25) evaluates to 0.125 at t = 0.25
     traj = Trajectory([0.0, 0.5, 1.0], [[0.0], [0.25], [1.0]])
-    np.testing.assert_allclose(trajectory_eval(traj, 0.25), [0.125])
+    np.testing.assert_allclose(_interpolate_rows(traj, [0.25]), [[0.125]])
 
 
-def test_trajectory_eval_outside_domain():
+def test_interpolate_outside_domain():
     traj = Trajectory([0.0, 1.0], [[0.0], [1.0]])
-    with pytest.raises(ValueError, match="outside"):
-        trajectory_eval(traj, 1.5)
-    with pytest.raises(ValueError, match="outside"):
-        trajectory_eval(traj, -0.1)
+    with pytest.raises(ValueError, match=r"t=1\.5 outside trajectory domain \[0\.0, 1\.0\]"):
+        _interpolate_rows(traj, [0.5, 1.5])
+    with pytest.raises(ValueError, match=r"t=-0\.1 outside"):
+        _interpolate_rows(traj, [-0.1])
+    with pytest.raises(ValueError, match="t=nan outside"):
+        _interpolate_rows(traj, [np.nan])
 
 
-def test_trajectory_eval_exact_for_affine(rng):
+def test_interpolate_exact_for_affine(rng):
     a = rng.normal(size=3)
     b = rng.normal(size=3)
     ts = np.sort(rng.uniform(0, 1, size=10))
     traj = Trajectory(ts, np.outer(ts, a) + b)
-    for t in rng.uniform(ts[0], ts[-1], size=20):
-        np.testing.assert_allclose(trajectory_eval(traj, t), a * t + b, atol=1e-14)
+    t = rng.uniform(ts[0], ts[-1], size=20)
+    np.testing.assert_allclose(_interpolate_rows(traj, t), np.outer(t, a) + b, atol=1e-14)
 
 
 def test_trajectory_validation():
