@@ -270,12 +270,17 @@ def cmd_estimate(cfg: RunConfig) -> int:
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
     model = parse_model_report(model_path.read_text())
-    if cfg.tau != model.tau:
-        # Control points must measure gbar over the window the fit used.
-        raise ValueError(
-            f"config tau = {cfg.tau!r} differs from the fitted model's tau = {model.tau!r} "
-            f"in {model_path}; estimate with the tau that `modred reduce` used"
-        )
+    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
+    # Control points must measure gbar exactly as the fit did.
+    for key, value, fitted in (
+        ("tau", cfg.tau, model.tau),
+        ("resolved_step", opts.step, model.resolved_step),
+    ):
+        if value != fitted:
+            raise ValueError(
+                f"config {key} = {value!r} differs from the fitted model's {key} = {fitted!r} "
+                f"in {model_path}; estimate with the {key} that `modred reduce` used"
+            )
     reduced = assemble_reduced(system, model)
     traj = read_csv(str(csv_path), system.dimension)
     if cfg.T != traj.times[-1]:
@@ -289,7 +294,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     dp = DualProblem(primal=traj, sys=reduced, psi=psi, T=cfg.T)
     phi = solve_dual(dp, cfg.reduced_step)
 
-    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
     points = validate_at_control_points(traj, system, model, _control_times(cfg), opts)
     est = error_estimate(traj, reduced, model, phi, points)
 

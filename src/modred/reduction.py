@@ -71,11 +71,12 @@ class SubgridModel:
 
     Inactive components carry a zero constant; their effective subgrid term is
     the inactivation choice g_i = -f_i, realized by freezing the component in
-    the reduced system.  ``oscillation_amplitude`` records the fast
-    oscillation max |u_i - ubar_i| over the fit window, signed with the phase
-    of the collective oscillation at its largest excursion, so that perturbing
-    the frozen components by these values at a control point re-excites the
-    recorded mode.  ``frozen_deviation`` records max |ubar_i - frozen value|
+    the reduced system.  ``resolved_step`` is the step of the resolved run
+    behind the fit, which control points must reuse.  ``oscillation_amplitude``
+    records the fast oscillation max |u_i - ubar_i| over the fit window, signed
+    with the phase of the collective oscillation at its largest excursion, so
+    that perturbing the frozen components by these values at a control point
+    re-excites the recorded mode.  ``frozen_deviation`` records max |ubar_i - frozen value|
     for inactive components (the built-in error of holding them constant).
     ``initial_value`` is the reduced start state: ubar at the left edge of the
     fit window for active components, the fit-window mean for frozen ones.
@@ -84,7 +85,7 @@ class SubgridModel:
     constants: Array
     active: Array
     tau: float
-    fit_window: tuple[float, float]
+    resolved_step: float
     oscillation_amplitude: Array
     frozen_deviation: Array
     initial_value: Array
@@ -102,6 +103,8 @@ class SubgridModel:
             raise ValueError("subgrid constants must be finite")
         if not np.all(np.isfinite(u0)):
             raise ValueError("reduced initial value must be finite")
+        if not self.resolved_step > 0:
+            raise ValueError("resolved_step must be positive")
         if np.any(constants[~active] != 0.0):
             raise ValueError("inactive components must carry zero constants")
         object.__setattr__(self, "constants", constants)
@@ -241,7 +244,7 @@ def fit_constant_subgrid(
         constants=constants,
         active=active,
         tau=opts.tau,
-        fit_window=(float(lo), float(hi)),
+        resolved_step=opts.step,
         oscillation_amplitude=sign * amplitude,
         frozen_deviation=deviation,
         initial_value=np.where(active, start, frozen_value),
@@ -314,7 +317,7 @@ def format_model_report(model: SubgridModel) -> str:
     rebuild the reduced system."""
     lines = [
         f"# tau = {model.tau:.17g}",
-        f"# fit_window = {model.fit_window[0]:.17g} {model.fit_window[1]:.17g}",
+        f"# resolved_step = {model.resolved_step:.17g}",
         "# u0 = " + " ".join(f"{v:.17g}" for v in model.initial_value),
         "# oscillation_amplitude = "
         + " ".join(f"{v:.17g}" for v in model.oscillation_amplitude),
@@ -359,12 +362,11 @@ def parse_model_report(text: str) -> SubgridModel:
             raise ValueError(f"model report header '# {key}' must hold one value, got {len(values)}")
         return float(values[0])
 
-    window = vector("fit_window")
     return SubgridModel(
         constants=np.array([r[2] for r in rows]),
         active=np.array([r[1] for r in rows]),
         tau=scalar("tau"),
-        fit_window=(float(window[0]), float(window[1])),
+        resolved_step=scalar("resolved_step"),
         oscillation_amplitude=vector("oscillation_amplitude"),
         frozen_deviation=vector("frozen_deviation"),
         initial_value=vector("u0"),

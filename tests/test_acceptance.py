@@ -153,7 +153,7 @@ def test_criterion_6_dual_and_property_suite():
             constants=np.zeros(2),
             active=np.ones(2, dtype=bool),
             tau=0.1,
-            fit_window=(0.05, 0.15),
+            resolved_step=2e-4,
             oscillation_amplitude=np.zeros(2),
             frozen_deviation=np.zeros(2),
             initial_value=sys.initial_value,

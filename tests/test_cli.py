@@ -386,6 +386,18 @@ def test_estimate_rejects_T_other_than_the_reduced_solve(tmp_path, capsys, T):
     assert not (tmp_path / "T.estimate.txt").exists()
 
 
+def test_estimate_rejects_resolved_step_other_than_the_fit(tmp_path, capsys):
+    # control points must resolve their windows with the step the fit used
+    cfg = _reduce_short_simple(tmp_path, "step")
+    report = (tmp_path / "step.model.txt").read_text()
+    assert "# resolved_step = 2.0000000000000001e-10\n" in report
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--resolved_step", "1e-10") == 1
+    err = capsys.readouterr().err
+    assert "config resolved_step = 1e-10" in err and "model's resolved_step = 2e-10" in err
+    assert not (tmp_path / "step.estimate.txt").exists()
+
+
 def test_estimate_rejects_malformed_model_header(tmp_path, capsys):
     cfg = _reduce_short_simple(tmp_path, "hdr")
     model_path = tmp_path / "hdr.model.txt"

@@ -119,7 +119,7 @@ def _trivial_model(n, tau, u0):
         constants=np.zeros(n),
         active=np.ones(n, dtype=bool),
         tau=tau,
-        fit_window=(tau / 2, 1.5 * tau),
+        resolved_step=tau / 500,
         oscillation_amplitude=np.zeros(n),
         frozen_deviation=np.zeros(n),
         initial_value=u0,

@@ -25,13 +25,13 @@ from modred.cli import main
 PINNED = {
     "simple": {
         "csv": "47b2ac1755448856fee7f1033bb809616552aa67e47763f6902169d6322b7e88",
-        "model.txt": "03cb4ac36cd0fe057d8eb105aed9847be423c9d9af7ebcdb6cf17fca65500a90",
+        "model.txt": "22146be3a6c904abbad320d4e0d8f1e9b1ac650c4e5d354bb657c914854fc4c6",
         "estimate.txt": "87354d581113b488c1711730af2e183b5c6ed127ca7bf717e1ad917d88baeb1f",
         "controls.txt": "e5775e052a16aced2dffb751b3da529e89e4fb2d5e6391f0d044942740803c70",
     },
     "lattice": {
         "csv": "634bcb5936fe549056f7907f4a2811b5727ba786094879d2b47e3ef23e294a7e",
-        "model.txt": "dc84b013f91da51409f16cca9b03a6a39a34a6ad8706ae1b27333f7f6064d5de",
+        "model.txt": "84549515be62eba9bfd8abd0f74df95dc4898dee957032255528afb988d6acb7",
         "estimate.txt": "d7911f496847ad4a12a85f551852a5d401039255ce8ab6c004b2f87f531d0341",
         "controls.txt": "2fb6dbf4209022f5d7d2fd391c80171e55856fc9625f9d5a9243852a9cf6d00b",
     },

@@ -140,7 +140,7 @@ def test_all_inactive_model_freezes_everything():
         constants=np.zeros(2),
         active=np.array([False, False]),
         tau=0.1,
-        fit_window=(0.05, 0.15),
+        resolved_step=2e-4,
         oscillation_amplitude=np.zeros(2),
         frozen_deviation=np.zeros(2),
         initial_value=np.array([0.99, -0.1]),
@@ -163,11 +163,18 @@ def test_subgrid_model_invariants():
             constants=np.array([1.0]),
             active=np.array([False]),
             tau=0.1,
-            fit_window=(0.05, 0.15),
+            resolved_step=2e-4,
             oscillation_amplitude=np.zeros(1),
             frozen_deviation=np.zeros(1),
             initial_value=np.zeros(1),
         )
+
+
+def test_subgrid_model_needs_positive_resolved_step(stiff_modeling):
+    _, _, _, model, _ = stiff_modeling
+    for step in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="resolved_step must be positive"):
+            dataclasses.replace(model, resolved_step=step)
 
 
 def test_model_report_round_trip(stiff_modeling):
@@ -182,7 +189,7 @@ def test_model_report_round_trip(stiff_modeling):
     np.testing.assert_array_equal(parsed.active, model.active)
     np.testing.assert_array_equal(parsed.oscillation_amplitude, model.oscillation_amplitude)
     np.testing.assert_array_equal(parsed.initial_value, model.initial_value)
-    assert parsed.tau == model.tau and parsed.fit_window == model.fit_window
+    assert parsed.tau == model.tau and parsed.resolved_step == model.resolved_step
 
 
 @pytest.mark.parametrize("value", ["", "1e-07 2e-07"])
