@@ -241,7 +241,7 @@ def _distance(states: Array, spec: LatticeSpec, a: int, b: int) -> Array:
     states = np.asarray(states, dtype=float)
     n = 4 * (spec.n_large + spec.n_small)
     if states.ndim != 2 or states.shape[1] != n:
-        raise ValueError(f"states of shape {states.shape}: lattice p={spec.p} needs {n} components")
+        raise ValueError(f"states of shape {states.shape}: lattice p={spec.p} has {n} components")
     d = (states[:, 2 * b : 2 * b + 2] - states[:, 2 * a : 2 * a + 2])[:, None, :]
     # matmul takes the dot product that np.linalg.norm takes of one row; a sum
     # over the row rounds differently.

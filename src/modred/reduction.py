@@ -76,10 +76,11 @@ class SubgridModel:
     records the fast oscillation max |u_i - ubar_i| over the fit window, signed
     with the phase of the collective oscillation at its largest excursion, so
     that perturbing the frozen components by these values at a control point
-    re-excites the recorded mode.  ``frozen_deviation`` records max |ubar_i - frozen value|
-    for inactive components (the built-in error of holding them constant).
-    ``initial_value`` is the reduced start state: ubar at the left edge of the
-    fit window for active components, the fit-window mean for frozen ones.
+    re-excites the recorded mode.  ``frozen_deviation`` records
+    max |ubar_i - frozen value| for inactive components (the built-in error of
+    holding them constant).  ``initial_value`` is the reduced start state: ubar
+    at the left edge of the fit window for active components, the fit-window
+    mean for frozen ones.
     """
 
     constants: Array
@@ -359,7 +360,7 @@ def parse_model_report(text: str) -> SubgridModel:
     def scalar(key):
         values = vector(key)
         if len(values) != 1:
-            raise ValueError(f"model report header '# {key}' must hold one value, got {len(values)}")
+            raise ValueError(f"report header '# {key}' must hold one value, got {len(values)}")
         return float(values[0])
 
     return SubgridModel(

@@ -118,6 +118,15 @@ def test_small_mass_distance_oscillates_at_double_frequency(lattice_spec, resolv
     assert abs(period_d - 0.5 * mech) <= 0.15 * mech
 
 
+def test_observables_equal_the_per_row_norm(lattice_spec, resolved_lattice):
+    # the CSV columns keep the bits of one np.linalg.norm per state row
+    _, traj = resolved_lattice
+    last, small = lattice_spec.n_large - 1, lattice_spec.n_large
+    for fn, mass in ((diameter, last), (small_mass_distance, small)):
+        reference = [np.linalg.norm(u[2 * mass : 2 * mass + 2] - u[:2]) for u in traj.states]
+        np.testing.assert_array_equal(fn(traj.states, lattice_spec), reference)
+
+
 def test_lattice_momentum_conservation(lattice_spec, resolved_lattice):
     sys, traj = resolved_lattice
     n_masses = lattice_spec.n_large + lattice_spec.n_small

@@ -109,6 +109,18 @@ def test_fit_refuses_underresolved_oscillation():
     with pytest.raises(ValueError, match="nodes per"):
         fit_constant_subgrid(traj, sys, ModelingOptions(tau=0.5))
 
+    # with two macroscopic oscillations (~10.5 and ~4.5 nodes per period) and
+    # a slow ramp, the figure is the per-component reference loop's minimum
+    traj = Trajectory(ts, np.stack([np.cos(300 * ts), np.cos(700 * ts), 0.1 * ts], axis=1))
+    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), traj.states[0], 10.0)
+    window = traj.states[(ts >= 0.25) & (ts <= 0.75)]
+    worst = np.inf
+    for i in (0, 1):
+        d = np.diff(window[:, i])
+        worst = min(worst, 2.0 * (len(window) - 1) / int(np.sum(d[1:] * d[:-1] < 0.0)))
+    with pytest.raises(ValueError, match=rf"~{worst:.1f} nodes per period"):
+        fit_constant_subgrid(traj, sys, ModelingOptions(tau=0.5))
+
 
 def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
     sys, _, reduced, model, _ = stiff_modeling

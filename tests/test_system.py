@@ -76,9 +76,9 @@ def test_batch_rhs_values_and_plain_float_times():
 
 def test_batch_rhs_rejects_mismatched_rows():
     sys = DynamicalSystem(2, lambda u, t: -u, np.zeros(2), 1.0)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match=r"states of shape \(3, 2\) for times of shape \(2,\)"):
         evaluate_rhs(sys, np.zeros((3, 2)), [0.0, 1.0])
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match=r"states of shape \(2,\) for times of shape \(1,\)"):
         evaluate_rhs(sys, np.zeros(2), [0.0])
 
 
