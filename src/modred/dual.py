@@ -37,6 +37,9 @@ from .system import (
     jacobian,
 )
 
+#: Dimension from which a dual step solves its live block alone; below, dense is faster.
+BLOCK_DUAL_MIN = 64
+
 
 @dataclass(frozen=True)
 class DualProblem:
@@ -64,7 +67,8 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     Substituting s = T - t turns the problem into a forward linear system,
     which is stepped with cG(1); since the system is linear in phi, each
-    midpoint step is solved directly.  The returned trajectory is oriented
+    midpoint step is solved directly, over the live block alone from
+    BLOCK_DUAL_MIN components on.  The returned trajectory is oriented
     forward in t.
     """
     if not step > 0:
@@ -84,7 +88,16 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
         for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
             k = float(s_nodes[j] - s_nodes[j - 1])
             A = jacobian(dp.sys, u_mid, float(t_mid)).T
-            phi[j] = np.linalg.solve(eye - 0.5 * k * A, phi[j - 1] + 0.5 * k * (A @ phi[j - 1]))
+            rhs = phi[j - 1] + 0.5 * k * (A @ phi[j - 1])
+            live = A.any(axis=0)
+            if n < BLOCK_DUAL_MIN or live.all():
+                phi[j] = np.linalg.solve(eye - 0.5 * k * A, rhs)
+                continue
+            # Zero rows of J (frozen components) decouple: solve the live block alone.
+            a = np.flatnonzero(live)
+            x = np.linalg.solve(eye[: len(a), : len(a)] - 0.5 * k * A[np.ix_(a, a)], rhs[a])
+            phi[j] = rhs + 0.5 * k * (A[:, a] @ x)
+            phi[j, a] = x
 
     times = (dp.T - s_nodes)[::-1].copy()
     times[0], times[-1] = t_start, dp.T  # pin endpoints against roundoff

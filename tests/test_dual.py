@@ -27,6 +27,7 @@ from modred import (
     stability_factors,
     validate_at_control_points,
 )
+from modred.dual import BLOCK_DUAL_MIN
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)
 
@@ -189,6 +190,31 @@ def test_dual_matches_per_step_reference_exactly(step):
     U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
     dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]), T=25.0)
     np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
+
+
+def test_dual_solves_only_the_active_block(monkeypatch):
+    # frozen components have zero Jacobian rows: on the reduced lattice at
+    # p=4 (100 components, 36 frozen) each step solves the 64 active ones
+    # alone and must agree with the dense solve over all components
+    sys = make_lattice(LatticeSpec(p=4, T=1.0))
+    frozen = [c for pair in sys.oscillator_pairs for c in pair]
+    reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
+    U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
+    psi = np.cos(np.arange(1.0, sys.dimension + 1.0))
+    dp = DualProblem(primal=U, sys=reduced, psi=psi, T=1.0)
+    dense = _dual_reference(dp, 0.01)
+    sizes = set()
+    solve = np.linalg.solve
+
+    def recorded_solve(a, b):
+        sizes.add(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    block = solve_dual(dp, 0.01).states
+    assert sys.dimension >= BLOCK_DUAL_MIN
+    assert sizes == {sys.dimension - len(frozen)}
+    assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_estimate_zero_for_exactly_solved_linear_system():
