@@ -4,9 +4,10 @@ scheme is the implicit midpoint method,
 
     U_j = U_{j-1} + k_j * f((U_{j-1} + U_j)/2, t_{j-1} + k_j/2),
 
-solved on each interval by damped fixed-point iteration started from U_{j-1}.
-Fixed step sequences only; the step must resolve the fastest active scale or
-the iteration diverges and the solver raises rather than returning garbage.
+solved on each interval by chord Newton from U_{j-1}: v += M (g - v) with
+g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid), M = inv(I - (k/2) J), J taken lazily
+and refreshed after CHORD_REFRESH corrections (Hairer & Wanner, Solving ODEs II,
+IV.8).  A step too large for the fastest scale ((k/2) J of spectral radius >= 1) raises.
 """
 
 from __future__ import annotations
@@ -23,29 +24,34 @@ from .system import (
     evaluate_rhs,
     frozen_array,
     interpolate,
+    jacobian,
     rhs_value,
 )
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
-_DAMPING_FLOOR = 0.25
+#: Chord iterations allowed per interval before ConvergenceError.
+MAX_CHORD_ITERS = 100
 
-#: Fixed-point iterations allowed per interval before ConvergenceError.
-MAX_FIXED_POINT_ITERS = 100
+#: Chord corrections after which an unconverged step re-evaluates J.
+CHORD_REFRESH = 4
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to converge on some interval."""
+    """A step did not converge, or its (k/2) J has spectral radius ``contraction`` >= 1."""
 
-    def __init__(self, interval: int, t_end: float, residual: float):
+    def __init__(self, interval: int, t_end: float, residual: float, contraction: float | None = None):
         self.interval = interval
         self.t_end = t_end
         self.residual = residual
+        self.contraction = contraction
+        cause = f"did not converge (last residual norm {residual:.3e})"
+        if contraction is not None:
+            cause = f"is too large (spectral radius of (k/2)J estimated at {contraction:.3e} >= 1)"
         super().__init__(
-            f"fixed-point iteration did not converge on interval {interval} "
-            f"(ending at t={t_end:.6g}); last residual norm {residual:.3e}. "
-            f"The step is likely too large for the fastest active time scale."
+            f"cG(1) step on interval {interval} (ending at t={t_end:.6g}) {cause}; "
+            f"the step must resolve the fastest active time scale"
         )
 
 
@@ -88,6 +94,21 @@ class SolverOptions:
             raise ValueError("fixed_point_tol must be positive")
 
 
+def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[Array, float]:
+    """inv(I - (k/2) J) at (u, t) and the spectral radius of (k/2) J, estimated by
+    20 power steps on its square from a fixed start (a pair +-i*w converges too)."""
+    A = jacobian(sys, u, t) * (-0.5 * k)
+    x = np.linspace(1.0, 2.0, len(A))
+    for _ in range(20):
+        y = A @ (A @ x)
+        growth = float(np.linalg.norm(y))
+        if not 0.0 < growth < np.inf:
+            break
+        x = y / growth
+    A.flat[:: len(A) + 1] += 1.0
+    return np.linalg.inv(A), float(np.sqrt(growth))
+
+
 def solve_cg1(
     sys: DynamicalSystem,
     part: TimePartition,
@@ -97,7 +118,8 @@ def solve_cg1(
 
     The returned nodal values satisfy the midpoint relation to within
     ``fixed_point_tol`` (relative to max(1, |U|)).  Raises ConvergenceError
-    when the damped fixed-point iteration does not contract.
+    when a step is too large or does not converge, and EvaluationError,
+    naming t and the component, for a non-finite rhs value.
     """
     opts = opts or SolverOptions()
     times = part.times
@@ -108,36 +130,32 @@ def solve_cg1(
     states = np.empty((len(times), n))
     states[0] = sys.initial_value
     u_prev = states[0]
+    M = None
 
-    # Diverging iterates overflow on their way to the non-finite residual
-    # that raises ConvergenceError below; numpy's overflow warnings would only
-    # repeat that.  One errstate per solve adds no per-iteration work.
+    # A non-finite rhs value raises EvaluationError below; numpy's overflow
+    # warnings would only repeat that.  One errstate per solve costs nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, len(times)):
             k = times[j] - times[j - 1]
             t_mid = times[j - 1] + 0.5 * k
             v = u_prev
-            damping = 1.0
-            res_prev = np.inf
-            converged = False
-            res = np.inf
-            for _ in range(MAX_FIXED_POINT_ITERS):
-                g = u_prev + k * rhs_value(rhs(0.5 * (u_prev + v), t_mid), n)
+            for it in range(MAX_CHORD_ITERS):
+                mid = 0.5 * (u_prev + v)
+                g = u_prev + k * rhs_value(rhs(mid, t_mid), n)
                 res = float(np.linalg.norm(g - v))
                 if not np.isfinite(res):
-                    break
+                    evaluate_rhs(sys, mid[None], np.array([t_mid]))  # raises if f is non-finite
+                    raise ConvergenceError(j, float(times[j]), res)
                 if res <= tol * max(1.0, float(np.linalg.norm(g))):
-                    v = g
-                    converged = True
                     break
-                if res > res_prev:
-                    damping = max(_DAMPING_FLOOR, 0.5 * damping)
-                res_prev = res
-                v = (1.0 - damping) * v + damping * g
-            if not converged:
+                if M is None or (it and it % CHORD_REFRESH == 0):
+                    M, rho = _chord_matrix(sys, mid, t_mid, k)
+                    if not rho < 1.0:
+                        raise ConvergenceError(j, float(times[j]), res, rho)
+                v = v + M @ (g - v)
+            else:
                 raise ConvergenceError(j, float(times[j]), res)
-            states[j] = v
-            u_prev = v
+            states[j] = u_prev = g
 
     return Trajectory(times, states)
 

@@ -131,9 +131,7 @@ def resolve_short(
         return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step))
     except ConvergenceError as err:
         raise RuntimeError(
-            f"resolved run from t={t:g} diverged on interval {err.interval} "
-            f"(residual {err.residual:.3e}); the fastest scale is not resolved, "
-            f"use a smaller resolved_step than {step:g}"
+            f"resolved run from t={t:g} failed: {err}; use a smaller resolved_step than {step:g}"
         ) from err
 
 

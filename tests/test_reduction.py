@@ -22,6 +22,17 @@ from modred import (
 from modred.reduction import format_model_report, parse_model_report
 
 
+def test_unresolved_window_names_the_contraction_estimate():
+    # kappa=4e20 at step 2e-10: (k/2) * sqrt(kappa) = 2, so the first step
+    # that evaluates the Jacobian is rejected, and the message says why
+    sys = make_simple_model(SimpleModelSpec(kappa=4e20, T=1.0))
+    opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
+    with pytest.raises(RuntimeError, match=r"resolved run from t=0 failed: cG\(1\) step on interval 1 ") as exc:
+        resolve_short(sys, sys.initial_value, 0.0, opts)
+    assert "spectral radius of (k/2)J estimated at 2.000e+00 >= 1" in str(exc.value)
+    assert "use a smaller resolved_step than 2e-10" in str(exc.value)
+
+
 @pytest.fixture(scope="module")
 def stiff_modeling():
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
