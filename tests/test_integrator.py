@@ -102,15 +102,18 @@ def test_step_guard_raises_at_interval_one_and_spares_the_equilibrium():
     np.testing.assert_array_equal(rest.states, np.zeros((11, 2)))
 
 
-def test_nonfinite_rhs_raises_evaluation_error_naming_t_and_component():
-    # a NaN from the rhs is a bad evaluation, not a step that failed to
-    # converge
+@pytest.mark.parametrize("bad", [lambda t: np.nan, lambda t: np.exp(1e4 * t)], ids=["nan", "overflow"])
+def test_nonfinite_rhs_raises_evaluation_error_naming_t_and_component(bad):
+    # a NaN or an overflow from the rhs is a bad evaluation, not a step that
+    # failed to converge, and it surfaces without a numpy warning
     sys = DynamicalSystem(
-        2, lambda u, t: np.array([-u[0], np.nan if t > 0.3 else 0.0]), np.ones(2), 1.0
+        2, lambda u, t: np.array([-u[0], bad(t) if t > 0.3 else 0.0]), np.ones(2), 1.0
     )
     part = TimePartition.uniform(0, 1.0, 0.1)
-    with pytest.raises(EvaluationError, match=rf"component 1 is non-finite at t={float(part.times[3] + 0.05)!r}"):
-        solve_cg1(sys, part)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=rf"component 1 is non-finite at t={float(part.times[3] + 0.05)!r}"):
+            solve_cg1(sys, part)
 
 
 def _damped_fixed_point(sys, part, tol=1e-12):
