@@ -34,7 +34,6 @@ from .problems import (
     small_mass_distance,
 )
 from .reduction import (
-    ModelingOptions,
     SubgridModel,
     assemble_reduced,
     auto_model,
@@ -59,7 +58,6 @@ __all__ = [
     "ErrorEstimate",
     "EvaluationError",
     "LatticeSpec",
-    "ModelingOptions",
     "SimpleModelSpec",
     "SolverOptions",
     "SubgridModel",

@@ -44,13 +44,15 @@ from .problems import (
     small_mass_distance,
 )
 from .reduction import (
-    ModelingOptions,
     assemble_reduced,
     auto_model,
     format_model_report,
     parse_model_report,
 )
 from .system import DynamicalSystem, Trajectory
+
+#: Default resolved step as a fraction of tau (about 500 steps per window).
+RESOLVED_STEP_FRACTION = 1.0 / 500.0
 
 
 @dataclass
@@ -64,7 +66,7 @@ class RunConfig:
     displacement: float | None = None
     problem_file: str | None = None
     tau: float = 1e-7
-    resolved_step: float | None = None
+    resolved_step: float | None = None  # default: tau * RESOLVED_STEP_FRACTION
     reduced_step: float = 0.1
     step: float = 0.01
     control_points: int = 4
@@ -77,7 +79,7 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "external-file" and not self.problem_file:
             raise ValueError("problem = external-file requires problem_file = <path>")
-        for key in ("T", "tau", "reduced_step", "step"):
+        for key in ("T", "tau", "resolved_step", "reduced_step", "step"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"config key {key} must be positive")
         if self.kappa is not None and not self.kappa > 0:
@@ -98,15 +100,19 @@ _INT_KEYS = {"p", "control_points"}
 _STR_KEYS = {"problem", "problem_file", "psi", "output", "observables"}
 
 
-def _coerce(key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    value = float(raw)
+def _number(key: str, raw: str, kind=float):
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key} must be {noun}, got {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"config key {key} must be finite, got {raw!r}")
     return value
+
+
+def _coerce(key: str, raw: str):
+    return raw if key in _STR_KEYS else _number(key, raw, int if key in _INT_KEYS else float)
 
 
 def parse_config(path: str, overrides: list[tuple[str, str]] = ()) -> RunConfig:
@@ -130,6 +136,8 @@ def parse_config(path: str, overrides: list[tuple[str, str]] = ()) -> RunConfig:
         if value == "":
             continue
         cfg = replace(cfg, **{key: _coerce(key, value)})
+    if cfg.resolved_step is None:
+        cfg = replace(cfg, resolved_step=cfg.tau * RESOLVED_STEP_FRACTION)
     cfg.validate()
     return cfg
 
@@ -168,11 +176,11 @@ def build_system(cfg: RunConfig) -> tuple[DynamicalSystem, LatticeSpec | None]:
 def parse_psi(raw: str, dimension: int) -> np.ndarray:
     """Either a 1-based component index or a comma-separated vector."""
     if "," in raw:
-        vec = np.array([float(v) for v in raw.split(",")])
+        vec = np.array([_number("psi", v) for v in raw.split(",")])
         if len(vec) != dimension:
             raise ValueError(f"psi has {len(vec)} entries, system dimension is {dimension}")
         return vec
-    index = int(raw)
+    index = _number("psi", raw, int)
     if not 1 <= index <= dimension:
         raise ValueError(f"psi component index {index} outside 1..{dimension}")
     vec = np.zeros(dimension)
@@ -226,8 +234,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_reduce(cfg: RunConfig) -> int:
     system, spec = build_system(cfg)
-    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
-    reduced, model, resolved = auto_model(system, opts)
+    reduced, model, resolved = auto_model(system, cfg.tau, cfg.resolved_step)
     part = TimePartition.uniform(0.0, cfg.T, cfg.reduced_step)
     traj = solve_cg1(reduced, part)
 
@@ -241,7 +248,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
 
     n_active = int(np.sum(model.active))
     print(
-        f"[reduce] resolved {len(resolved.times) - 1} steps over [0, {2 * opts.tau:g}], "
+        f"[reduce] resolved {len(resolved.times) - 1} steps over [0, {2 * cfg.tau:g}], "
         f"reduced {len(part.steps)} steps over [0, {cfg.T:g}]"
     )
     print(
@@ -270,11 +277,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
     model = parse_model_report(model_path.read_text())
-    opts = ModelingOptions(tau=cfg.tau, resolved_step=cfg.resolved_step)
-    # Control points must measure gbar exactly as the fit did.
+    # Control points resolve with the model's window; a config naming another is an error.
     for key, value, fitted in (
         ("tau", cfg.tau, model.tau),
-        ("resolved_step", opts.step, model.resolved_step),
+        ("resolved_step", cfg.resolved_step, model.resolved_step),
     ):
         if value != fitted:
             raise ValueError(
@@ -291,10 +297,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
         )
 
     psi = parse_psi(cfg.psi, system.dimension)
-    dp = DualProblem(primal=traj, sys=reduced, psi=psi, T=cfg.T)
+    dp = DualProblem(primal=traj, sys=reduced, psi=psi)
     phi = solve_dual(dp, cfg.reduced_step)
 
-    points = validate_at_control_points(traj, system, model, _control_times(cfg), opts)
+    points = validate_at_control_points(traj, system, model, _control_times(cfg))
     est = error_estimate(traj, reduced, model, phi, points)
 
     est_path = f"{cfg.output}.estimate.txt"

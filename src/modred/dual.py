@@ -6,13 +6,15 @@ The dual problem is the backward linear system
 
     -phi'(t) = J(t)^T phi(t),   phi(T) = psi,
 
-where J is the Jacobian of the right-hand side along the computed solution U.
+where J is the Jacobian of the right-hand side along the computed solution U
+and T is the final node of U.
 The output error satisfies |(e(T), psi)| <= S1 * max ||k r|| + S0 * max
 ||g_model - g_measured||, with stability factors S0 = integral of ||phi|| and
 S1 = integral of ||phi'||.  The Jacobian is evaluated at U alone (the
 mean-value segment between the averaged and computed solutions is collapsed
 to its endpoint); the discrepancy is second order in their distance and is
-recorded in every report.
+recorded in every report.  Control points take tau and the resolved step from
+the fitted SubgridModel, so they measure gbar exactly as the fit did.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .averaging import trapezoid
 from .integrator import TimePartition, residual_samples
 # Imported only as a rebinding target of perfbench/tracing.py.
 from .integrator import solve_cg1  # noqa: F401
-from .reduction import ModelingOptions, SubgridModel, measure_gbar, resolve_short
+from .reduction import SubgridModel, measure_gbar, resolve_short
 from .system import (
     INTERPOLATE_BLOCK,
     Array,
@@ -43,27 +45,25 @@ BLOCK_DUAL_MIN = 64
 
 @dataclass(frozen=True)
 class DualProblem:
-    """Backward dual problem along a computed primal trajectory."""
+    """Backward dual problem from the final node of a computed primal trajectory."""
 
     primal: Trajectory
     sys: DynamicalSystem
     psi: Array
-    T: float
 
     def __post_init__(self):
         psi = frozen_array(self.psi)
         if psi.shape != (self.primal.dimension,):
             raise ValueError("psi dimension does not match the primal trajectory")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("psi must be finite")
         if not np.linalg.norm(psi) > 0:
             raise ValueError("psi must be nonzero")
-        t0, t1 = self.primal.span
-        if not (t0 < self.T <= t1 + 1e-12 * max(1.0, abs(t1))):
-            raise ValueError(f"final time {self.T} outside the primal span [{t0}, {t1}]")
         object.__setattr__(self, "psi", psi)
 
 
 def solve_dual(dp: DualProblem, step: float) -> Trajectory:
-    """Integrate the dual backward from phi(T) = psi.
+    """Integrate the dual backward from phi(T) = psi, T the primal's final time.
 
     Substituting s = T - t turns the problem into a forward linear system,
     which is stepped with cG(1); since the system is linear in phi, each
@@ -74,7 +74,7 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
     if not step > 0:
         raise ValueError("dual step must be positive")
     t_start, t_end = dp.primal.span
-    part = TimePartition.uniform(0.0, dp.T - t_start, step)
+    part = TimePartition.uniform(0.0, t_end - t_start, step)
     s_nodes = part.times
     n = dp.sys.dimension
     eye = np.eye(n)
@@ -83,7 +83,7 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
     phi[0] = dp.psi
     for lo in range(1, len(s_nodes), INTERPOLATE_BLOCK):
         hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
-        t_mids = dp.T - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
+        t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
         _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
         for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
             k = float(s_nodes[j] - s_nodes[j - 1])
@@ -99,8 +99,8 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
             phi[j] = rhs + 0.5 * k * (A[:, a] @ x)
             phi[j, a] = x
 
-    times = (dp.T - s_nodes)[::-1].copy()
-    times[0], times[-1] = t_start, dp.T  # pin endpoints against roundoff
+    times = (t_end - s_nodes)[::-1].copy()
+    times[0], times[-1] = t_start, t_end  # pin endpoints against roundoff
     return Trajectory(times, phi[::-1])
 
 
@@ -202,20 +202,16 @@ def _perturbation_vector(sys: DynamicalSystem, model: SubgridModel) -> Array:
 
 
 def validate_at_control_points(
-    reduced_traj: Trajectory,
-    sys: DynamicalSystem,
-    model: SubgridModel,
-    points,
-    opts: ModelingOptions,
+    reduced_traj: Trajectory, sys: DynamicalSystem, model: SubgridModel, points
 ) -> tuple[ControlPoint, ...]:
     """Re-resolve the full system at each control point (in time order) and
     re-measure gbar.
 
     Initial data at a control point is the computed reduced solution with the
     frozen components displaced by their recorded oscillation amplitude; the
-    full system is resolved over [t_c, t_c + 2*tau] and the variance averaged
-    over the interior window by the same resolve_short and measure_gbar as the
-    original fit.
+    full system is resolved over [t_c, t_c + 2*tau] at the model's
+    resolved_step and the variance averaged over the interior window by the
+    same resolve_short and measure_gbar as the original fit.
     """
     delta = _perturbation_vector(sys, model)
     perturbation = float(np.max(np.abs(delta), initial=0.0))
@@ -223,7 +219,8 @@ def validate_at_control_points(
     times = np.sort(np.asarray(points, dtype=float))
     _, starts = interpolate(reduced_traj.times, reduced_traj.states, times)
     for t_c, u_c in zip(times.tolist(), starts + delta):
-        gbar = measure_gbar(resolve_short(sys, u_c, t_c, opts), sys, opts.tau)
+        resolved = resolve_short(sys, u_c, t_c, model.tau, model.resolved_step)
+        gbar = measure_gbar(resolved, sys, model.tau)
         deviation = float(np.max(np.abs((model.constants - gbar)[model.active]), initial=0.0))
         measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
     return tuple(measured)

@@ -2,16 +2,17 @@
 fit a constant subgrid forcing from the measured variance, freeze components
 whose average stays constant, and assemble the reduced system.
 
-The resolved run covers [t, t + 2*tau], from t = 0 for the fit and from each
-control point when the model is validated.  Averages are only interior-valid
-tau/2 away from each end, so the fit window is the maximal centered window
-[tau/2, 3*tau/2].  A component is inactivated (frozen) when its moving average
-is constant over the fit window while the unaveraged signal carries a
-macroscopic oscillation; the oscillation guard (variation dominated by the
-fast scale, amplitude above the tolerance) ensures that neither a genuinely
-steady component nor a slow component with a microscopic fast jiggle is ever
-frozen.  For second-order systems in first-order form, the velocity partner
-of a frozen position component is frozen with it (declared via
+The resolved run covers [t, t + 2*tau] at a fixed step, from t = 0 for the fit
+and from each control point; the fitted SubgridModel carries tau and the step,
+so control points resolve exactly as the fit did.  Averages are only
+interior-valid tau/2 away from each end, so the fit window is the maximal
+centered window [tau/2, 3*tau/2].  A component is inactivated (frozen) when
+its moving average is constant over the fit window while the unaveraged signal
+carries a macroscopic oscillation; the oscillation guard (variation dominated
+by the fast scale, amplitude above the tolerance) ensures that neither a
+genuinely steady component nor a slow component with a microscopic fast jiggle
+is ever frozen.  For second-order systems in first-order form, the velocity
+partner of a frozen position component is frozen with it (declared via
 ``DynamicalSystem.oscillator_pairs``).
 """
 
@@ -25,9 +26,6 @@ import numpy as np
 from .averaging import averaged_values, trapezoid, variance_values
 from .integrator import ConvergenceError, TimePartition, solve_cg1
 from .system import Array, DynamicalSystem, Trajectory, frozen_array, rhs_value
-
-#: Default resolved step as a fraction of tau (about 500 steps per window).
-RESOLVED_STEP_FRACTION = 1.0 / 500.0
 
 #: Minimum resolved nodes per fast oscillation period for the quadrature of
 #: the rhs average to be trustworthy.
@@ -47,40 +45,21 @@ OSCILLATION_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
-class ModelingOptions:
-    """Parameters of the automatic modeling run; ``resolved_step`` defaults
-    to tau/500."""
-
-    tau: float
-    resolved_step: float | None = None
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.resolved_step is not None and not self.resolved_step > 0:
-            raise ValueError("resolved_step must be positive")
-
-    @property
-    def step(self) -> float:
-        return self.resolved_step if self.resolved_step is not None else self.tau * RESOLVED_STEP_FRACTION
-
-
-@dataclass(frozen=True)
 class SubgridModel:
     """Constant subgrid forcing plus the active/inactive component mask.
 
     Inactive components carry a zero constant; their effective subgrid term is
     the inactivation choice g_i = -f_i, realized by freezing the component in
-    the reduced system.  ``resolved_step`` is the step of the resolved run
-    behind the fit, which control points must reuse.  ``oscillation_amplitude``
-    records the fast oscillation max |u_i - ubar_i| over the fit window, signed
-    with the phase of the collective oscillation at its largest excursion, so
-    that perturbing the frozen components by these values at a control point
-    re-excites the recorded mode.  ``frozen_deviation`` records
-    max |ubar_i - frozen value| for inactive components (the built-in error of
-    holding them constant).  ``initial_value`` is the reduced start state: ubar
-    at the left edge of the fit window for active components, the fit-window
-    mean for frozen ones.
+    the reduced system.  ``tau`` and ``resolved_step`` are the window and step
+    of the resolved run behind the fit, which control points reuse.
+    ``oscillation_amplitude`` records the fast oscillation max |u_i - ubar_i|
+    over the fit window, signed with the phase of the collective oscillation at
+    its largest excursion, so that perturbing the frozen components by these
+    values at a control point re-excites the recorded mode.
+    ``frozen_deviation`` records max |ubar_i - frozen value| for inactive
+    components (the built-in error of holding them constant).
+    ``initial_value`` is the reduced start state: ubar at the left edge of the
+    fit window for active components, the fit-window mean for frozen ones.
     """
 
     constants: Array
@@ -104,8 +83,9 @@ class SubgridModel:
             raise ValueError("subgrid constants must be finite")
         if not np.all(np.isfinite(u0)):
             raise ValueError("reduced initial value must be finite")
-        if not self.resolved_step > 0:
-            raise ValueError("resolved_step must be positive")
+        for key in ("tau", "resolved_step"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if np.any(constants[~active] != 0.0):
             raise ValueError("inactive components must carry zero constants")
         object.__setattr__(self, "constants", constants)
@@ -119,13 +99,10 @@ class SubgridModel:
         return len(self.constants)
 
 
-def resolve_short(
-    sys: DynamicalSystem, u: Array, t: float, opts: ModelingOptions
-) -> Trajectory:
+def resolve_short(sys: DynamicalSystem, u: Array, t: float, tau: float, step: float) -> Trajectory:
     """Solve the full system from state u at time t over [t, t + 2*tau] with
     the resolved step: the run behind the fit and every control point."""
-    step = opts.step
-    t_end = t + 2.0 * opts.tau
+    t_end = t + 2.0 * tau
     window_sys = dataclasses.replace(sys, initial_value=u, final_time=t_end)
     try:
         return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step))
@@ -167,7 +144,7 @@ def _check_resolution(u: Array, check: Array) -> float:
 
 
 def fit_constant_subgrid(
-    resolved: Trajectory, sys: DynamicalSystem, opts: ModelingOptions
+    resolved: Trajectory, sys: DynamicalSystem, tau: float, step: float
 ) -> SubgridModel:
     """Fit per-component subgrid constants and decide inactivation.
 
@@ -176,7 +153,7 @@ def fit_constant_subgrid(
     oscillates are marked inactive (along with their declared velocity
     partners) and carry a zero constant.
     """
-    idx, (lo, hi) = _window_slice(resolved, opts.tau)
+    idx, (lo, hi) = _window_slice(resolved, tau)
     if len(idx) < MIN_WINDOW_NODES:
         raise ValueError(
             f"only {len(idx)} resolved nodes in the fit window "
@@ -185,7 +162,7 @@ def fit_constant_subgrid(
     window_times = resolved.times[idx]
     u = resolved.states[idx]
 
-    ubar = averaged_values(resolved, opts.tau, window_times)
+    ubar = averaged_values(resolved, tau, window_times)
     scale = np.maximum(1.0, np.max(np.abs(ubar), axis=0))
     amplitude = np.max(np.abs(u - ubar), axis=0)
     macroscopic = amplitude > INACTIVE_TOL * scale
@@ -221,7 +198,7 @@ def fit_constant_subgrid(
             inactive[vel] = True
     active = ~inactive
 
-    constants = measure_gbar(resolved, sys, opts.tau)
+    constants = measure_gbar(resolved, sys, tau)
     constants[inactive] = 0.0
 
     # Sign the amplitudes with the oscillation phase at the largest collective
@@ -237,13 +214,13 @@ def fit_constant_subgrid(
     frozen_value = trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
     deviation = np.where(inactive, np.max(np.abs(ubar - frozen_value), axis=0), 0.0)
     # ubar at the window's left edge equals ubar(0) under the constant extension.
-    start = averaged_values(resolved, opts.tau, np.array([lo]))[0]
+    start = averaged_values(resolved, tau, np.array([lo]))[0]
 
     return SubgridModel(
         constants=constants,
         active=active,
-        tau=opts.tau,
-        resolved_step=opts.step,
+        tau=tau,
+        resolved_step=step,
         oscillation_amplitude=sign * amplitude,
         frozen_deviation=deviation,
         initial_value=np.where(active, start, frozen_value),
@@ -294,19 +271,23 @@ build_reduced = assemble_reduced
 
 
 def auto_model(
-    sys: DynamicalSystem, opts: ModelingOptions
+    sys: DynamicalSystem, tau: float, step: float
 ) -> tuple[DynamicalSystem, SubgridModel, Trajectory]:
-    """Resolve, fit, and assemble: returns (reduced system, model, resolved run)."""
+    """Resolve over [0, 2*tau] at the given step, fit, and assemble: returns
+    (reduced system, model, resolved run)."""
+    for key, value in (("tau", tau), ("resolved_step", step)):
+        if not value > 0:
+            raise ValueError(f"{key} must be positive, got {value}")
     # A step of at most tau/MIN_WINDOW_NODES leaves at least MIN_WINDOW_NODES
     # nodes in the fit window however the partition rounds the step.
-    max_step = opts.tau / MIN_WINDOW_NODES
-    if opts.step > max_step:
+    max_step = tau / MIN_WINDOW_NODES
+    if step > max_step:
         raise ValueError(
-            f"resolved_step {opts.step:g} leaves fewer than {MIN_WINDOW_NODES} nodes "
+            f"resolved_step {step:g} leaves fewer than {MIN_WINDOW_NODES} nodes "
             f"in the fit window; reduce it to at most {max_step:g}"
         )
-    resolved = resolve_short(sys, sys.initial_value, 0.0, opts)
-    model = fit_constant_subgrid(resolved, sys, opts)
+    resolved = resolve_short(sys, sys.initial_value, 0.0, tau, step)
+    model = fit_constant_subgrid(resolved, sys, tau, step)
     return assemble_reduced(sys, model), model, resolved
 
 

@@ -16,7 +16,6 @@ from modred import (
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
-    ModelingOptions,
     SimpleModelSpec,
     SubgridModel,
     TimePartition,
@@ -54,32 +53,29 @@ def criterion(number, name, budget_seconds):
 @pytest.fixture(scope="module")
 def stiff_pipeline():
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
-    opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
-    reduced, model, resolved = auto_model(sys, opts)
-    return sys, opts, reduced, model, resolved
+    reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
+    return sys, reduced, model, resolved
 
 
 @pytest.fixture(scope="module")
 def lattice_pipeline():
     spec = LatticeSpec(p=3, M=100.0, m=1e-4, T=24.0)
     sys = make_lattice(spec)
-    opts = ModelingOptions(tau=1.0)
-    reduced, model, resolved = auto_model(sys, opts)
-    return spec, sys, opts, reduced, model, resolved
+    reduced, model, resolved = auto_model(sys, 1.0, 0.002)
+    return spec, sys, reduced, model, resolved
 
 
 def test_criterion_1_subgrid_constant(stiff_pipeline):
     with criterion(1, "subgrid constant 0.2495 +- 0.005", 5.0):
         sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
-        opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
-        _, model, _ = auto_model(sys, opts)
+        _, model, _ = auto_model(sys, 1e-7, 2e-10)
         assert abs(model.constants[2] - 0.2495) <= 0.005
         assert not model.active[1] and not model.active[3]
 
 
 def test_criterion_2_reduced_solution_accuracy(stiff_pipeline):
     with criterion(2, "reduced solution matches (1/4)(1 - cos t)", 5.0):
-        _, _, reduced, _, _ = stiff_pipeline
+        _, reduced, _, _ = stiff_pipeline
         traj = solve_cg1(reduced, TimePartition.uniform(0, 100.0, 0.01))
         exact = 0.25 * (1.0 - np.cos(traj.times))
         assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-2
@@ -87,7 +83,7 @@ def test_criterion_2_reduced_solution_accuracy(stiff_pipeline):
 
 def test_criterion_3_cost_bookkeeping(stiff_pipeline):
     with criterion(3, "total step count ~ 1e3 vs 1e12 for full resolution", 5.0):
-        _, _, reduced, _, resolved = stiff_pipeline
+        _, reduced, _, resolved = stiff_pipeline
         resolved_steps = len(resolved.times) - 1
         part = TimePartition.uniform(0, 100.0, 0.1)
         traj = solve_cg1(reduced, part)
@@ -106,7 +102,7 @@ def test_criterion_4_oracle_equivalence_moderate_stiffness():
         nodes = np.linspace(0.05, 9.95, 1987)
         oracle = averaged_values(brute, 0.1, nodes)
 
-        reduced, model, _ = auto_model(sys, ModelingOptions(tau=0.1))
+        reduced, model, _ = auto_model(sys, 0.1, 2e-4)
         traj = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.01))
         red_u1 = interpolate(traj.times, traj.states, nodes)[1][:, 0]
         rel = np.max(np.abs(red_u1 - oracle[:, 0])) / np.max(np.abs(oracle[:, 0]))
@@ -115,7 +111,7 @@ def test_criterion_4_oracle_equivalence_moderate_stiffness():
 
 def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
     with criterion(5, "lattice: sqrt(2) baseline, contraction with modeling", 120.0):
-        spec, sys, opts, reduced, model, resolved = lattice_pipeline
+        spec, sys, reduced, model, resolved = lattice_pipeline
 
         # baseline A: no fast scales excited, no subgrid model -> D constant
         quiet_spec = dataclasses.replace(spec, initial_small_displacement=0.0, T=20.0)
@@ -161,7 +157,7 @@ def test_criterion_6_dual_and_property_suite():
         reduced = assemble_reduced(sys, trivial)
         U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, k))
         psi = np.array([1.0, 0.0])
-        dp = DualProblem(primal=U, sys=reduced, psi=psi, T=1.0)
+        dp = DualProblem(primal=U, sys=reduced, psi=psi)
         phi = solve_dual(dp, k)
 
         # solve_dual matches the analytic adjoint phi(t) = R(T - t)^T psi
@@ -169,14 +165,13 @@ def test_criterion_6_dual_and_property_suite():
         phi_exact = np.stack([np.cos(s), np.sin(s)], axis=1)
         assert np.max(np.abs(phi.states - phi_exact)) <= 1e-4
 
-        opts = ModelingOptions(tau=0.1, resolved_step=0.001)
-        points = validate_at_control_points(U, sys, trivial, [0.3, 0.7], opts)
+        points = validate_at_control_points(U, sys, trivial, [0.3, 0.7])
         est = error_estimate(U, reduced, trivial, phi, points)
         e_true = abs(float((U.states[-1] - rotation_exact(sys.initial_value, 1.0)) @ psi))
         assert e_true <= est.total
 
         # dual linearity
-        phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=3.0 * psi, T=1.0), k)
+        phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=3.0 * psi), k)
         np.testing.assert_allclose(phi2.states, 3.0 * phi.states, rtol=1e-12)
 
         # S-factor homogeneity
@@ -186,14 +181,14 @@ def test_criterion_6_dual_and_property_suite():
         assert s1b == pytest.approx(3.0 * s1, rel=1e-12)
 
         # zero variance for linear f
-        lin_reduced, lin_model, _ = auto_model(sys, ModelingOptions(tau=0.05))
+        lin_reduced, lin_model, _ = auto_model(sys, 0.05, 1e-4)
         assert lin_model.active.all()
         f0 = evaluate_rhs(sys, [sys.initial_value], [0.0])
         assert np.max(np.abs(lin_model.constants)) <= 1e-6 * np.max(np.abs(f0)) + 1e-12
 
         # frozen-component exactness on the stiff model
         stiff = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
-        sreduced, smodel, _ = auto_model(stiff, ModelingOptions(tau=1e-7, resolved_step=2e-10))
+        sreduced, smodel, _ = auto_model(stiff, 1e-7, 2e-10)
         straj = solve_cg1(sreduced, TimePartition.uniform(0, 10.0, 0.05))
         for i in np.flatnonzero(~smodel.active):
             assert np.all(straj.states[:, i] == smodel.initial_value[i])
@@ -209,10 +204,10 @@ def test_criterion_6_dual_and_property_suite():
 
 def test_criterion_7_control_point_validity_decay(lattice_pipeline):
     with criterion(7, "lattice control-point deviation grows over time", 120.0):
-        spec, sys, opts, reduced, model, resolved = lattice_pipeline
+        spec, sys, reduced, model, resolved = lattice_pipeline
         traj = solve_cg1(reduced, TimePartition.uniform(0, 24.0, 0.05))
         points = [3.0, 9.0, 15.0, 21.0]
-        devs = [p.deviation for p in validate_at_control_points(traj, sys, model, points, opts)]
+        devs = [p.deviation for p in validate_at_control_points(traj, sys, model, points)]
         assert len(devs) >= 3
         assert devs[-1] > devs[0]
         slope = np.polyfit(points, devs, 1)[0]

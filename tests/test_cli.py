@@ -20,6 +20,8 @@ def test_example_configs_parse(tmp_path, capsys):
         assert run_cli("example", name, "-o", out) == 0
         cfg = parse_config(str(out))
         assert cfg.problem == name
+    # the lattice example leaves resolved_step to its default, tau/500
+    assert cfg.resolved_step == pytest.approx(cfg.tau / 500.0)
     assert run_cli("example", "simple") == 0
     assert "problem = simple" in capsys.readouterr().out
 
@@ -333,6 +335,21 @@ def test_nonfinite_config_value_is_a_config_error(tmp_path, capsys, key, value):
     assert f"config key {key} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("p", "3.0"), ("control_points", "2.5")])
+def test_non_integer_value_of_an_integer_key_names_the_key(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = lattice\noutput = {tmp_path/'ni'}\n")
+    assert run_cli("reduce", cfg, f"--{key}", value) == 1
+    assert f"config key {key} must be an integer, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_resolved_step_is_a_config_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = simple\noutput = {tmp_path/'rs'}\n")
+    assert run_cli("reduce", cfg, "--resolved_step", value) == 1
+    assert "config key resolved_step must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "rs.csv").exists()
+
+
 def test_estimate_rejects_tau_other_than_the_fit(tmp_path, capsys):
     # control points must measure gbar over the window the fit used
     cfg = write_config(
@@ -408,3 +425,17 @@ def test_estimate_rejects_malformed_model_header(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("estimate", cfg) == 1
     assert "'# tau' must hold one value, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "psi,problem",
+    [("nan,0,0,0", "finite"), ("inf,0,0,0", "finite"), ("1e400,0,0,0", "finite"), ("1.5", "an integer")],
+)
+def test_bad_psi_fails_before_the_dual(tmp_path, capsys, psi, problem):
+    # a non-finite output functional used to run the whole backward dual
+    cfg = _reduce_short_simple(tmp_path, "psi")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--psi", psi) == 1
+    err = capsys.readouterr().err
+    assert f"config key psi must be {problem}, got '{psi.split(',')[0]}'" in err
+    assert not (tmp_path / "psi.estimate.txt").exists()

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import modred.dual
 from conftest import rotation_exact, rotation_system
 from modred import (
     ControlPoint,
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
-    ModelingOptions,
     SimpleModelSpec,
     SubgridModel,
     TimePartition,
@@ -38,7 +38,7 @@ def test_scalar_adjoint_closed_form(a):
     # so phi(0) = exp(a) at T = 1
     sys = DynamicalSystem(1, lambda u, t: a * u, np.array([1.0]), 1.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 1e-3))
-    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0]), T=1.0), 1e-3)
+    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0])), 1e-3)
     assert abs(phi.states[0, 0] - np.exp(a)) <= 1e-4
     ts = phi.times
     np.testing.assert_allclose(phi.states[:, 0], np.exp(a * (1.0 - ts)), atol=1e-4)
@@ -48,7 +48,7 @@ def test_constant_jacobian_free_dual():
     sys = DynamicalSystem(2, lambda u, t: np.array([1.0, 2.0]), np.zeros(2), 5.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 5.0, 0.1))
     psi = np.array([0.3, -0.7])
-    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi, T=5.0), 0.1)
+    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi), 0.1)
     np.testing.assert_allclose(phi.states, np.tile(psi, (len(phi.times), 1)), atol=1e-12)
 
 
@@ -97,8 +97,8 @@ def test_stability_factors_homogeneous_in_psi():
     sys = rotation_system(T=2.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 2.0, 0.01))
     psi = np.array([0.6, 0.8])
-    phi1 = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi, T=2.0), 0.01)
-    phi2 = solve_dual(DualProblem(primal=traj, sys=sys, psi=2.0 * psi, T=2.0), 0.01)
+    phi1 = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi), 0.01)
+    phi2 = solve_dual(DualProblem(primal=traj, sys=sys, psi=2.0 * psi), 0.01)
     np.testing.assert_allclose(2.0 * phi1.states, phi2.states, rtol=1e-12)
     s = stability_factors(phi1)
     s2 = stability_factors(phi2)
@@ -110,7 +110,7 @@ def test_stability_factors_orientation_invariant():
     # reversing the bookkeeping (s = T - t) must not change the factors
     sys = rotation_system(T=1.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.02))
-    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0]), T=1.0), 0.02)
+    phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0])), 0.02)
     reversed_phi = Trajectory((1.0 - phi.times)[::-1], phi.states[::-1])
     assert stability_factors(phi) == pytest.approx(stability_factors(reversed_phi))
 
@@ -160,7 +160,7 @@ def test_dual_makes_no_rhs_calls(build):
     counted = dataclasses.replace(reduced, rhs=counted_rhs)
     psi = np.zeros(sys.dimension)
     psi[0] = 1.0
-    phi = solve_dual(DualProblem(primal=U, sys=counted, psi=psi, T=1.0), 0.05)
+    phi = solve_dual(DualProblem(primal=U, sys=counted, psi=psi), 0.05)
     assert len(phi.times) == 21
     assert calls == 0
 
@@ -169,12 +169,12 @@ def _dual_reference(dp, step):
     """solve_dual's states by one single-time interpolation per step, the
     loop that the batched midpoint interpolation replaced."""
     t_start, t_end = dp.primal.span
-    s = TimePartition.uniform(0.0, dp.T - t_start, step).times
+    s = TimePartition.uniform(0.0, t_end - t_start, step).times
     eye = np.eye(len(dp.psi))
     phi = [dp.psi]
     for j in range(1, len(s)):
         k = float(s[j] - s[j - 1])
-        t_mid = dp.T - 0.5 * (float(s[j]) + float(s[j - 1]))
+        t_mid = t_end - 0.5 * (float(s[j]) + float(s[j - 1]))
         t_in = np.array([min(max(t_mid, t_start), t_end)])
         u_mid = interpolate(dp.primal.times, dp.primal.states, t_in)[1][0]
         A = jacobian(dp.sys, u_mid, t_mid).T
@@ -188,7 +188,7 @@ def test_dual_matches_per_step_reference_exactly(step):
     # does not coincide with the primal one
     sys = make_simple_model(SimpleModelSpec(kappa=4.0, T=25.0))
     U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
-    dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]), T=25.0)
+    dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]))
     np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
 
 
@@ -201,7 +201,7 @@ def test_dual_solves_only_the_active_block(monkeypatch):
     reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
     psi = np.cos(np.arange(1.0, sys.dimension + 1.0))
-    dp = DualProblem(primal=U, sys=reduced, psi=psi, T=1.0)
+    dp = DualProblem(primal=U, sys=reduced, psi=psi)
     dense = _dual_reference(dp, 0.01)
     sizes = set()
     solve = np.linalg.solve
@@ -224,9 +224,8 @@ def test_estimate_zero_for_exactly_solved_linear_system():
     model = _trivial_model(2, 0.2, sys.initial_value)
     reduced = assemble_reduced(sys, model)
     U = solve_cg1(reduced, TimePartition.uniform(0, 4.0, 0.1))
-    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0]), T=4.0), 0.1)
-    opts = ModelingOptions(tau=0.2, resolved_step=0.001)
-    points = validate_at_control_points(U, sys, model, [1.0, 2.0, 3.0], opts)
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0])), 0.1)
+    points = validate_at_control_points(U, sys, model, [1.0, 2.0, 3.0])
     est = error_estimate(U, reduced, model, phi, points)
     assert est.validated
     assert est.total <= 1e-10 * max(est.S1, 1.0)
@@ -241,7 +240,7 @@ def test_estimate_bounds_linear_discretization_error():
     reduced = assemble_reduced(sys, model)
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, k))
     psi = np.array([1.0, 0.0])
-    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi, T=1.0), k)
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi), k)
     est = error_estimate(U, reduced, model, phi, ())
     e_true = abs(float((U.states[-1] - rotation_exact(sys.initial_value, 1.0)) @ psi))
     assert e_true <= est.total
@@ -254,7 +253,7 @@ def test_model_term_zero_when_gbar_matches():
     model = _trivial_model(2, 0.1, sys.initial_value)
     reduced = assemble_reduced(sys, model)
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
-    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0]), T=1.0), 0.01)
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0])), 0.01)
     point = ControlPoint(time=0.5, gbar=np.zeros(2), deviation=0.0, perturbation=0.0)
     est = error_estimate(U, reduced, model, phi, (point,))
     assert est.model_term == 0.0
@@ -263,24 +262,42 @@ def test_model_term_zero_when_gbar_matches():
 
 def test_dual_linearity(rng):
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
-    reduced, model, resolved = auto_model(sys, ModelingOptions(tau=1e-7, resolved_step=2e-10))
+    reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     U = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.05))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
     alpha = -2.5
-    phi1 = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi, T=10.0), 0.05)
-    phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=alpha * psi, T=10.0), 0.05)
+    phi1 = solve_dual(DualProblem(primal=U, sys=reduced, psi=psi), 0.05)
+    phi2 = solve_dual(DualProblem(primal=U, sys=reduced, psi=alpha * psi), 0.05)
     np.testing.assert_allclose(phi2.states, alpha * phi1.states, rtol=1e-10, atol=1e-18)
 
 
 def test_control_points_on_fresh_simple_model():
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
-    opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
-    reduced, model, resolved = auto_model(sys, opts)
+    reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
-    points = validate_at_control_points(U, sys, model, [2e-7, 0.5], opts)
+    points = validate_at_control_points(U, sys, model, [2e-7, 0.5])
     for p in points:
         assert p.deviation <= 0.01  # refit reproduces the fitted constant
     assert 0.9 <= points[0].perturbation <= 1.1
+
+
+def test_control_points_resolve_with_the_model_window(monkeypatch):
+    # the fitted model is the only carrier of the window: control points
+    # resolve with its tau and resolved_step, here not the tau/500 default
+    sys = rotation_system(T=1.0)
+    model = dataclasses.replace(_trivial_model(2, 0.1, sys.initial_value), resolved_step=3e-4)
+    U = solve_cg1(assemble_reduced(sys, model), TimePartition.uniform(0, 1.0, 0.01))
+    calls = []
+    resolve = modred.dual.resolve_short
+
+    def spy(sys_, u, t, tau, step):
+        calls.append((t, tau, step))
+        return resolve(sys_, u, t, tau, step)
+
+    monkeypatch.setattr(modred.dual, "resolve_short", spy)
+    points = validate_at_control_points(U, sys, model, [0.7, 0.3])
+    assert calls == [(0.3, model.tau, model.resolved_step), (0.7, model.tau, model.resolved_step)]
+    assert [p.time for p in points] == [0.3, 0.7]
 
 
 def test_corrupted_subgrid_constant_is_caught_and_bounded():
@@ -289,8 +306,7 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
     # refits measure the true forcing
     sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
     # step 1e-3 also resolves the second-harmonic ripple the coupling injects
-    opts = ModelingOptions(tau=1.0, resolved_step=0.001)
-    reduced, model, resolved = auto_model(sys, opts)
+    reduced, model, resolved = auto_model(sys, 1.0, 0.001)
     assert list(model.active) == [True, False, True, False]
     assert abs(model.constants[2] - 0.25) <= 0.01
 
@@ -301,8 +317,8 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
     k = 0.01
     U = solve_cg1(bad_reduced, TimePartition.uniform(0, 10.0, k))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    phi = solve_dual(DualProblem(primal=U, sys=bad_reduced, psi=psi, T=10.0), k)
-    points = validate_at_control_points(U, sys, bad_model, [2.5, 5.0, 7.5], opts)
+    phi = solve_dual(DualProblem(primal=U, sys=bad_reduced, psi=psi), k)
+    points = validate_at_control_points(U, sys, bad_model, [2.5, 5.0, 7.5])
     est = error_estimate(U, bad_reduced, bad_model, phi, points)
 
     # the injected error of ~0.25 dominates the estimate
@@ -320,6 +336,9 @@ def test_dual_problem_validation():
     sys = rotation_system(T=1.0)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.1))
     with pytest.raises(ValueError, match="nonzero"):
-        DualProblem(primal=traj, sys=sys, psi=np.zeros(2), T=1.0)
+        DualProblem(primal=traj, sys=sys, psi=np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="psi must be finite"):
+            DualProblem(primal=traj, sys=sys, psi=np.array([bad, 0.0]))
     with pytest.raises(ValueError):
-        DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0, 0.0]), T=1.0)
+        DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0, 0.0]))

@@ -10,7 +10,6 @@ from modred import (
     DynamicalSystem,
     EvaluationError,
     LatticeSpec,
-    ModelingOptions,
     SimpleModelSpec,
     SolverOptions,
     SubgridModel,
@@ -142,14 +141,14 @@ def _damped_fixed_point(sys, part, tol=1e-12):
 
 
 @pytest.mark.parametrize(
-    "sys,opts",
+    "sys,tau,step",
     [
-        (make_lattice(LatticeSpec(p=3, m=1e-4, T=20.0)), ModelingOptions(tau=1.0, resolved_step=0.002)),
-        (make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0)), ModelingOptions(tau=1e-7, resolved_step=2e-10)),
+        (make_lattice(LatticeSpec(p=3, m=1e-4, T=20.0)), 1.0, 0.002),
+        (make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0)), 1e-7, 2e-10),
     ],
     ids=["lattice-p3", "simple-kappa1e18"],
 )
-def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, opts):
+def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, tau, step):
     # both solvers meet the same 1e-12 stopping rule on every step; over the
     # 1000 steps of an example fit window their states agree to 1e-9 relative
     # to the largest state entry, and chord Newton needs at most 6 rhs calls
@@ -161,8 +160,8 @@ def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, opts):
         calls += 1
         return sys.rhs(u, t)
 
-    chord = resolve_short(dataclasses.replace(sys, rhs=counted_rhs), sys.initial_value, 0.0, opts)
-    reference = _damped_fixed_point(sys, TimePartition.uniform(0.0, 2.0 * opts.tau, opts.step))
+    chord = resolve_short(dataclasses.replace(sys, rhs=counted_rhs), sys.initial_value, 0.0, tau, step)
+    reference = _damped_fixed_point(sys, TimePartition.uniform(0.0, 2.0 * tau, step))
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(chord.states - reference)) <= 1e-9 * scale
     assert calls <= 6 * (len(chord.times) - 1)

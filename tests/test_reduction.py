@@ -6,7 +6,6 @@ import pytest
 from conftest import linear_system
 from modred import (
     DynamicalSystem,
-    ModelingOptions,
     SimpleModelSpec,
     SubgridModel,
     TimePartition,
@@ -26,9 +25,8 @@ def test_unresolved_window_names_the_contraction_estimate():
     # kappa=4e20 at step 2e-10: (k/2) * sqrt(kappa) = 2, so the first step
     # that evaluates the Jacobian is rejected, and the message says why
     sys = make_simple_model(SimpleModelSpec(kappa=4e20, T=1.0))
-    opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
     with pytest.raises(RuntimeError, match=r"resolved run from t=0 failed: cG\(1\) step on interval 1 ") as exc:
-        resolve_short(sys, sys.initial_value, 0.0, opts)
+        resolve_short(sys, sys.initial_value, 0.0, 1e-7, 2e-10)
     assert "spectral radius of (k/2)J estimated at 2.000e+00 >= 1" in str(exc.value)
     assert "use a smaller resolved_step than 2e-10" in str(exc.value)
 
@@ -36,13 +34,12 @@ def test_unresolved_window_names_the_contraction_estimate():
 @pytest.fixture(scope="module")
 def stiff_modeling():
     sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
-    opts = ModelingOptions(tau=1e-7, resolved_step=2e-10)
-    reduced, model, resolved = auto_model(sys, opts)
-    return sys, opts, reduced, model, resolved
+    reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
+    return sys, reduced, model, resolved
 
 
 def test_resolve_short_node_count_and_periods(stiff_modeling):
-    _, _, _, _, resolved = stiff_modeling
+    _, _, _, resolved = stiff_modeling
     assert len(resolved.times) == 1001  # 1000 uniform steps over [0, 2e-7]
     u2 = resolved.states[:, 1]
     crossings = int(np.sum(u2[1:] * u2[:-1] < 0))
@@ -52,14 +49,13 @@ def test_resolve_short_node_count_and_periods(stiff_modeling):
 
 def test_resolve_short_constant_field():
     sys = DynamicalSystem(2, lambda u, t: np.zeros(2), np.array([1.0, -1.0]), 10.0)
-    traj = resolve_short(sys, sys.initial_value, 0.0, ModelingOptions(tau=0.5))
+    traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.001)
     np.testing.assert_array_equal(traj.states, np.tile(sys.initial_value, (len(traj.times), 1)))
 
 
 def test_resolve_short_exponential_endpoint():
     sys = DynamicalSystem(1, lambda u, t: -u, np.array([2.0]), 10.0)
-    opts = ModelingOptions(tau=0.5, resolved_step=0.002)
-    traj = resolve_short(sys, sys.initial_value, 0.0, opts)
+    traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.002)
     np.testing.assert_allclose(traj.times[-1], 1.0)
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
 
@@ -69,14 +65,14 @@ def test_auto_model_resolved_step_bound():
     # window [tau/2, 3*tau/2], so a step just under it passes the fit
     sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
     with pytest.raises(ValueError, match="at most 0.0005"):
-        auto_model(sys, ModelingOptions(tau=0.1, resolved_step=0.00051))
+        auto_model(sys, 0.1, 0.00051)
     for step in (0.0005, 0.000499):
-        _, model, _ = auto_model(sys, ModelingOptions(tau=0.1, resolved_step=step))
+        _, model, _ = auto_model(sys, 0.1, step)
         assert np.all(np.isfinite(model.constants))
 
 
 def test_fit_simple_model_constant_and_mask(stiff_modeling):
-    _, _, _, model, _ = stiff_modeling
+    _, _, model, _ = stiff_modeling
     assert abs(model.constants[2] - 0.2495) <= 0.005
     assert list(model.active) == [True, False, True, False]
     assert model.constants[1] == 0.0 and model.constants[3] == 0.0
@@ -89,7 +85,7 @@ def test_fit_linear_system_all_active_zero_constants(rng):
     # vanish to quadrature accuracy
     A = np.array([[0.0, 1.0], [-0.04, 0.0]])
     sys = linear_system(A, [1.0, 0.0], 100.0)
-    reduced, model, resolved = auto_model(sys, ModelingOptions(tau=0.5))
+    reduced, model, resolved = auto_model(sys, 0.5, 0.001)
     assert model.active.all()
     f0 = evaluate_rhs(sys, [sys.initial_value], [0.0])
     assert np.max(np.abs(model.constants)) <= 1e-6 * np.max(np.abs(f0)) + 1e-12
@@ -97,7 +93,7 @@ def test_fit_linear_system_all_active_zero_constants(rng):
 
 def test_fit_zero_field_keeps_everything_active():
     sys = DynamicalSystem(3, lambda u, t: np.zeros(3), np.ones(3), 10.0)
-    _, model, _ = auto_model(sys, ModelingOptions(tau=0.5))
+    _, model, _ = auto_model(sys, 0.5, 0.001)
     assert model.active.all()
     np.testing.assert_array_equal(model.constants, np.zeros(3))
 
@@ -107,7 +103,7 @@ def test_fit_refuses_sparse_window():
     traj = Trajectory(ts, np.zeros((21, 1)))
     sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.zeros(1), 10.0)
     with pytest.raises(ValueError, match="nodes"):
-        fit_constant_subgrid(traj, sys, ModelingOptions(tau=0.5))
+        fit_constant_subgrid(traj, sys, 0.5, 0.001)
 
 
 def test_fit_refuses_underresolved_oscillation():
@@ -118,7 +114,7 @@ def test_fit_refuses_underresolved_oscillation():
     traj = Trajectory(ts, np.cos(omega * ts)[:, None])
     sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.array([1.0]), 10.0)
     with pytest.raises(ValueError, match="nodes per"):
-        fit_constant_subgrid(traj, sys, ModelingOptions(tau=0.5))
+        fit_constant_subgrid(traj, sys, 0.5, 0.001)
 
     # with two macroscopic oscillations (~10.5 and ~4.5 nodes per period) and
     # a slow ramp, the figure is the per-component reference loop's minimum
@@ -130,11 +126,11 @@ def test_fit_refuses_underresolved_oscillation():
         d = np.diff(window[:, i])
         worst = min(worst, 2.0 * (len(window) - 1) / int(np.sum(d[1:] * d[:-1] < 0.0)))
     with pytest.raises(ValueError, match=rf"~{worst:.1f} nodes per period"):
-        fit_constant_subgrid(traj, sys, ModelingOptions(tau=0.5))
+        fit_constant_subgrid(traj, sys, 0.5, 0.001)
 
 
 def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
-    sys, _, reduced, model, _ = stiff_modeling
+    sys, reduced, model, _ = stiff_modeling
     u = np.array([0.3, model.initial_value[1], -0.1, model.initial_value[3]])
     out = evaluate_rhs(reduced, [u], [0.0])[0]
     expected_3 = -u[0] + 0.5 * u[1] ** 2 + model.constants[2]
@@ -147,7 +143,7 @@ def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
 def test_identity_reduction_reproduces_original(rng):
     A = np.array([[0.0, 1.0], [-0.09, 0.0]])
     sys = linear_system(A, [1.0, 0.5], 20.0)
-    reduced, model, resolved = auto_model(sys, ModelingOptions(tau=0.25))
+    reduced, model, resolved = auto_model(sys, 0.25, 5e-4)
     part = TimePartition.uniform(0, 5.0, 0.01)
     full = solve_cg1(sys, part)
     red = solve_cg1(
@@ -174,7 +170,7 @@ def test_all_inactive_model_freezes_everything():
 
 
 def test_frozen_components_exact_at_all_nodes(stiff_modeling):
-    _, _, reduced, model, _ = stiff_modeling
+    _, reduced, model, _ = stiff_modeling
     traj = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.01))
     for i in np.flatnonzero(~model.active):
         assert np.all(traj.states[:, i] == model.initial_value[i])
@@ -194,14 +190,14 @@ def test_subgrid_model_invariants():
 
 
 def test_subgrid_model_needs_positive_resolved_step(stiff_modeling):
-    _, _, _, model, _ = stiff_modeling
+    _, _, model, _ = stiff_modeling
     for step in (0.0, -1e-10):
         with pytest.raises(ValueError, match="resolved_step must be positive"):
             dataclasses.replace(model, resolved_step=step)
 
 
 def test_model_report_round_trip(stiff_modeling):
-    _, _, _, model, _ = stiff_modeling
+    _, _, model, _ = stiff_modeling
     text = format_model_report(model)
     lines = text.strip().splitlines()
     assert "2 inactive 0" in lines
@@ -217,18 +213,23 @@ def test_model_report_round_trip(stiff_modeling):
 
 @pytest.mark.parametrize("value", ["", "1e-07 2e-07"])
 def test_model_report_scalar_header_needs_one_value(stiff_modeling, value):
-    _, _, _, model, _ = stiff_modeling
+    _, _, model, _ = stiff_modeling
     lines = format_model_report(model).splitlines()
     text = "\n".join(f"# tau = {value}" if line.startswith("# tau") else line for line in lines)
     with pytest.raises(ValueError, match=r"'# tau' must hold one value"):
         parse_model_report(text)
 
 
-def test_modeling_options_validation():
-    with pytest.raises(ValueError):
-        ModelingOptions(tau=0.0)
-    with pytest.raises(ValueError):
-        ModelingOptions(tau=1.0, resolved_step=0.0)
-    with pytest.raises(ValueError):
-        ModelingOptions(tau=1.0, resolved_step=-0.5)
-    assert ModelingOptions(tau=1.0).step == pytest.approx(1.0 / 500.0)
+def test_modeling_options_validation(stiff_modeling):
+    # the window is checked where it enters, before any resolved step, and
+    # where it is kept for the control points
+    sys, _, model, _ = stiff_modeling
+    for tau, step, message in (
+        (0.0, 0.002, "tau must be positive, got 0.0"),
+        (1.0, 0.0, "resolved_step must be positive, got 0.0"),
+        (1.0, -0.5, "resolved_step must be positive, got -0.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            auto_model(sys, tau, step)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, tau=tau, resolved_step=step)
