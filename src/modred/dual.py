@@ -81,23 +81,25 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     phi = np.empty((len(s_nodes), n))
     phi[0] = dp.psi
-    for lo in range(1, len(s_nodes), INTERPOLATE_BLOCK):
-        hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
-        t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
-        _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
-        for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
-            k = float(s_nodes[j] - s_nodes[j - 1])
-            A = jacobian(dp.sys, u_mid, float(t_mid)).T
-            rhs = phi[j - 1] + 0.5 * k * (A @ phi[j - 1])
-            live = A.any(axis=0)
-            if n < BLOCK_DUAL_MIN or live.all():
-                phi[j] = np.linalg.solve(eye - 0.5 * k * A, rhs)
-                continue
-            # Zero rows of J (frozen components) decouple: solve the live block alone.
-            a = np.flatnonzero(live)
-            x = np.linalg.solve(eye[: len(a), : len(a)] - 0.5 * k * A[np.ix_(a, a)], rhs[a])
-            phi[j] = rhs + 0.5 * k * (A[:, a] @ x)
-            phi[j, a] = x
+    # jacobian raises EvaluationError for a non-finite entry; one errstate per solve, not per call.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(1, len(s_nodes), INTERPOLATE_BLOCK):
+            hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
+            t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
+            _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
+            for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
+                k = float(s_nodes[j] - s_nodes[j - 1])
+                A = jacobian(dp.sys, u_mid, float(t_mid)).T
+                rhs = phi[j - 1] + 0.5 * k * (A @ phi[j - 1])
+                live = A.any(axis=0)
+                if n < BLOCK_DUAL_MIN or live.all():
+                    phi[j] = np.linalg.solve(eye - 0.5 * k * A, rhs)
+                    continue
+                # Zero rows of J (frozen components) decouple: solve the live block alone.
+                a = np.flatnonzero(live)
+                x = np.linalg.solve(eye[: len(a), : len(a)] - 0.5 * k * A[np.ix_(a, a)], rhs[a])
+                phi[j] = rhs + 0.5 * k * (A[:, a] @ x)
+                phi[j, a] = x
 
     times = (t_end - s_nodes)[::-1].copy()
     times[0], times[-1] = t_start, t_end  # pin endpoints against roundoff

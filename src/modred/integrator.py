@@ -12,6 +12,7 @@ IV.8).  A step too large for the fastest scale ((k/2) J of spectral radius >= 1)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,9 @@ def solve_cg1(
     u_prev = states[0]
     M = None
 
-    # A non-finite rhs value raises EvaluationError below; numpy's overflow
-    # warnings would only repeat that.  One errstate per solve costs nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A non-finite rhs value raises EvaluationError below; numpy's warnings
+    # would only repeat that.  One errstate per solve costs nothing.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(1, len(times)):
             k = times[j] - times[j - 1]
             t_mid = times[j - 1] + 0.5 * k
@@ -142,17 +143,19 @@ def solve_cg1(
             for it in range(MAX_CHORD_ITERS):
                 mid = 0.5 * (u_prev + v)
                 g = u_prev + k * rhs_value(rhs(mid, t_mid), n)
-                res = float(np.linalg.norm(g - v))
-                if not np.isfinite(res):
+                r = g - v
+                # x.dot(x) is np.linalg.norm's own path for a 1-D vector.
+                res = math.sqrt(r.dot(r))
+                if not math.isfinite(res):
                     evaluate_rhs(sys, mid[None], np.array([t_mid]))  # raises if f is non-finite
                     raise ConvergenceError(j, float(times[j]), res)
-                if res <= tol * max(1.0, float(np.linalg.norm(g))):
+                if res <= tol * max(1.0, math.sqrt(g.dot(g))):
                     break
                 if M is None or (it and it % CHORD_REFRESH == 0):
                     M, rho = _chord_matrix(sys, mid, t_mid, k)
                     if not rho < 1.0:
                         raise ConvergenceError(j, float(times[j]), res, rho)
-                v = v + M @ (g - v)
+                v = v + M @ r
             else:
                 raise ConvergenceError(j, float(times[j]), res)
             states[j] = u_prev = g
@@ -178,7 +181,7 @@ def residual_samples(traj: Trajectory, sys: DynamicalSystem) -> Array:
         for offset in (-_GAUSS_OFFSET, _GAUSS_OFFSET):
             t_s = left[b] + 0.5 * k[b] + offset * k[b]
             _, u_s = interpolate(times, traj.states, t_s)
-            # One norm per row: a vectorized norm rounds differently.
-            norms = [np.linalg.norm(r) for r in slopes[b] - evaluate_rhs(sys, u_s, t_s)]
+            # One dot per row, as np.linalg.norm(r) takes it: a vectorized norm rounds differently.
+            norms = [math.sqrt(r.dot(r)) for r in slopes[b] - evaluate_rhs(sys, u_s, t_s)]
             worst[b] = np.maximum(worst[b], k[b] * norms)
     return worst

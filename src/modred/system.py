@@ -87,8 +87,10 @@ def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     if times.ndim != 1 or np.shape(states) != out.shape:
         raise ValueError(f"states of shape {np.shape(states)} for times of shape {times.shape}")
     rhs, n = sys.rhs, sys.dimension
-    for i, (u, t) in enumerate(zip(np.asarray(states, dtype=float), times.tolist())):
-        out[i] = rhs_value(rhs(u, t), n)
+    # A non-finite value raises EvaluationError below; numpy's warnings would only repeat that.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, (u, t) in enumerate(zip(np.asarray(states, dtype=float), times.tolist())):
+            out[i] = rhs_value(rhs(u, t), n)
     bad = ~np.isfinite(out)
     if bad.any():
         row, comp = (int(k[0]) for k in np.nonzero(bad))

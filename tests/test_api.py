@@ -1,6 +1,6 @@
 """Package hygiene: modules share only public names, every name that
-``modred.__all__`` exports exists, and rhs values are taken through the
-checked kernels only."""
+``modred.__all__`` exports exists, rhs values are taken through the
+checked kernels only, and no module scatters with np.add.at."""
 
 import ast
 from pathlib import Path
@@ -50,4 +50,18 @@ def test_only_the_kernels_read_rhs():
                 and node.attr == "rhs"
                 and (path.name, owner) not in RHS_READERS
             ]
+    assert offenders == []
+
+
+def test_no_module_scatters_with_add_at():
+    # np.add.at costs about twice the one np.bincount that adds in its order
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "add"
+    ]
     assert offenders == []

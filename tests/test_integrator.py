@@ -16,6 +16,8 @@ from modred import (
     TimePartition,
     Trajectory,
     assemble_reduced,
+    evaluate_rhs,
+    interpolate,
     make_lattice,
     make_simple_model,
     residual_samples,
@@ -205,6 +207,21 @@ def test_residual_hand_case_time_dependent_rhs():
     samples = residual_samples(traj, sys)
     assert samples.shape == (1,)
     np.testing.assert_allclose(samples[0], GAUSS_HALF_WIDTH, rtol=1e-12)
+
+
+def test_residual_samples_equal_the_per_row_norm():
+    # the dot per row is the one np.linalg.norm takes, so no bit may move
+    sys = make_lattice(LatticeSpec(p=3, m=1e-4, T=1.0))
+    traj = solve_cg1(sys, TimePartition.uniform(0.0, 0.05, 0.001))
+    times, k = traj.times, np.diff(traj.times)
+    slopes = np.diff(traj.states, axis=0) / k[:, None]
+    expected = np.zeros(len(k))
+    for offset in (-GAUSS_HALF_WIDTH, GAUSS_HALF_WIDTH):
+        t_s = times[:-1] + 0.5 * k + offset * k
+        r = slopes - evaluate_rhs(sys, interpolate(times, traj.states, t_s)[1], t_s)
+        expected = np.maximum(expected, k * np.array([np.linalg.norm(row) for row in r]))
+    assert np.all(expected > 0)
+    np.testing.assert_array_equal(residual_samples(traj, sys), expected)
 
 
 def test_residual_samples_check_every_rhs_value():

@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from modred import (
+    DualProblem,
+    EvaluationError,
     LatticeSpec,
     SimpleModelSpec,
     TimePartition,
@@ -17,7 +20,9 @@ from modred import (
     make_simple_model,
     small_mass_distance,
     solve_cg1,
+    solve_dual,
 )
+from modred.problems import _lattice_geometry
 
 
 def test_simple_model_rhs_and_pairs():
@@ -197,3 +202,96 @@ def test_analytic_jacobian_matches_finite_differences(spec, rng):
         row_scale = np.max(np.abs(J_fd), axis=1)
         assert np.all(row_scale > 0)
         assert np.max(np.max(np.abs(J - J_fd), axis=1) / row_scale) <= 1e-6
+
+
+def _add_at_kernels(spec):
+    """The lattice rhs and Jacobian as np.add.at scattered them, the reference
+    that the one-bincount kernels must match bit for bit."""
+    positions, ia, ib, rest = _lattice_geometry(spec)
+    n_masses = len(positions)
+    n_pos = 2 * n_masses
+    masses = np.concatenate([np.full(spec.n_large, spec.M), np.full(spec.n_small, spec.m)])
+    coord = np.arange(2)
+    block_rows = np.stack([ia, ia, ib, ib], axis=1)
+    block_cols = np.stack([ia, ib, ia, ib], axis=1)
+    rows = n_pos + 2 * block_rows[:, :, None, None] + coord[None, None, :, None]
+    cols = 2 * block_cols[:, :, None, None] + coord[None, None, None, :]
+    jac_index = (rows * (2 * n_pos) + cols).ravel()
+    block_sign = np.array([-1.0, 1.0, 1.0, -1.0])[None, :, None, None]
+
+    def rhs(u):
+        pos = u[:n_pos].reshape(n_masses, 2)
+        d = pos[ib] - pos[ia]
+        length = np.linalg.norm(d, axis=1)
+        pull = (spec.kappa * (length - rest) / length)[:, None] * d
+        force = np.zeros_like(pos)
+        np.add.at(force, ia, pull)
+        np.add.at(force, ib, -pull)
+        return np.concatenate([u[n_pos:], (force / masses[:, None]).ravel()])
+
+    def jac(u):
+        pos = u[:n_pos].reshape(n_masses, 2)
+        d = pos[ib] - pos[ia]
+        length = np.linalg.norm(d, axis=1)
+        ratio = rest / length
+        B = (spec.kappa * ratio / (length * length))[:, None, None] * (d[:, :, None] * d[:, None, :])
+        B[:, 0, 0] += spec.kappa * (1.0 - ratio)
+        B[:, 1, 1] += spec.kappa * (1.0 - ratio)
+        J = np.zeros((2 * n_pos, 2 * n_pos))
+        np.add.at(J.reshape(-1), jac_index, (block_sign * B[:, None, :, :]).ravel())
+        J[n_pos:] /= np.repeat(masses, 2)[:, None]
+        J[np.arange(n_pos), n_pos + np.arange(n_pos)] = 1.0
+        return J
+
+    return rhs, jac
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_lattice_kernels_equal_the_add_at_reference(p, rng):
+    # the bincount scatter adds in np.add.at's order, so no bit may move
+    spec = LatticeSpec(p=p, m=1e-4, T=1.0)
+    sys = make_lattice(spec)
+    ref_rhs, ref_jac = _add_at_kernels(spec)
+    for scale in (1e-6, 1e-3, 1e-1):
+        for _ in range(10):
+            u = sys.initial_value + rng.normal(scale=scale, size=sys.dimension)
+            np.testing.assert_array_equal(sys.rhs(u, 0.0), ref_rhs(u))
+            np.testing.assert_array_equal(sys.jacobian(u, 0.0), ref_jac(u))
+
+
+def test_lattice_rhs_neither_mutates_nor_shares_its_state(rng):
+    sys = make_lattice(LatticeSpec(p=3))
+    u = sys.initial_value + rng.normal(scale=1e-3, size=sys.dimension)
+    snapshot = u.copy()
+    f = sys.rhs(u, 0.0)
+    np.testing.assert_array_equal(u, snapshot)
+    assert not np.shares_memory(f, u)
+
+
+def _collapsed_lattice():
+    """The p=2 lattice with mass 1 moved onto mass 0: that spring has length 0."""
+    sys = make_lattice(LatticeSpec(p=2))
+    u = sys.initial_value.copy()
+    u[2:4] = u[0:2]
+    return dataclasses.replace(sys, initial_value=u)
+
+
+@pytest.mark.parametrize("stage", ["evaluate_rhs", "solve_cg1", "solve_dual", "overflow"])
+def test_nonfinite_evaluation_raises_without_numpy_warning(stage):
+    # a zero-length spring divides by zero and an overflowing rhs overflows;
+    # either must surface as EvaluationError alone, not after a RuntimeWarning
+    sys = _collapsed_lattice()
+    u = sys.initial_value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite"):
+            if stage == "evaluate_rhs":
+                evaluate_rhs(sys, u[None], [0.0])
+            elif stage == "solve_cg1":
+                solve_cg1(sys, TimePartition.uniform(0.0, 0.1, 0.01))
+            elif stage == "solve_dual":
+                primal = Trajectory([0.0, 0.1], [u, u])
+                solve_dual(DualProblem(primal, sys, np.ones(sys.dimension)), 0.05)
+            else:
+                simple = make_simple_model(SimpleModelSpec(kappa=1.0, T=1.0))
+                evaluate_rhs(simple, [[0.0, 1e200, 0.0, 0.0]], [0.0])
