@@ -25,7 +25,6 @@ from .integrator import (
 )
 from .problems import (
     LatticeSpec,
-    SimpleModelSpec,
     analytic_reduced_simple,
     diameter,
     lattice_equilibrium,
@@ -58,7 +57,6 @@ __all__ = [
     "ErrorEstimate",
     "EvaluationError",
     "LatticeSpec",
-    "SimpleModelSpec",
     "SolverOptions",
     "SubgridModel",
     "TimePartition",

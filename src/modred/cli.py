@@ -37,7 +37,6 @@ from .dual import (
 from .integrator import TimePartition, solve_cg1
 from .problems import (
     LatticeSpec,
-    SimpleModelSpec,
     diameter,
     make_lattice,
     make_simple_model,
@@ -147,10 +146,12 @@ def _load_external_system(path: str) -> DynamicalSystem:
     if spec is None or spec.loader is None:
         raise ValueError(f"cannot import problem file {path!r}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not hasattr(module, "make_system"):
-        raise ValueError(f"problem file {path!r} must define make_system()")
-    sys_obj = module.make_system()
+    try:
+        spec.loader.exec_module(module)
+        sys_obj = module.make_system()
+    except Exception as err:
+        # A problem file is configuration: whatever it raises is a config error.
+        raise ValueError(f"problem file {path!r}: {type(err).__name__}: {err}") from err
     if not isinstance(sys_obj, DynamicalSystem):
         raise ValueError("make_system() must return a DynamicalSystem")
     return sys_obj
@@ -159,7 +160,7 @@ def _load_external_system(path: str) -> DynamicalSystem:
 def build_system(cfg: RunConfig) -> tuple[DynamicalSystem, LatticeSpec | None]:
     if cfg.problem == "simple":
         kappa = cfg.kappa if cfg.kappa is not None else 1e18
-        return make_simple_model(SimpleModelSpec(kappa=kappa, T=cfg.T)), None
+        return make_simple_model(kappa), None
     if cfg.problem == "lattice":
         spec = LatticeSpec(
             p=cfg.p,
@@ -167,7 +168,6 @@ def build_system(cfg: RunConfig) -> tuple[DynamicalSystem, LatticeSpec | None]:
             m=cfg.m,
             kappa=cfg.kappa if cfg.kappa is not None else 1.0,
             initial_small_displacement=cfg.displacement,
-            T=cfg.T,
         )
         return make_lattice(spec), spec
     return _load_external_system(cfg.problem_file), None

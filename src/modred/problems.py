@@ -4,6 +4,8 @@ and a 2D lattice of large and small point masses.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,23 +13,10 @@ import numpy as np
 from .system import Array, DynamicalSystem
 
 
-@dataclass(frozen=True)
-class SimpleModelSpec:
+def make_simple_model(kappa: float) -> DynamicalSystem:
     """Unit mass on a soft spring, driven quadratically by a second unit mass
-    on a very stiff spring (constant kappa) oscillating perpendicular to it."""
-
-    kappa: float
-    T: float
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-
-
-def make_simple_model(spec: SimpleModelSpec) -> DynamicalSystem:
-    """First-order form of the two-mass model.
+    on a very stiff spring (constant kappa >= 1) oscillating perpendicular to
+    it, in first-order form.
 
     State (u1, u2, u3, u4) = (x1, x2, x1', x2') with
 
@@ -36,7 +25,8 @@ def make_simple_model(spec: SimpleModelSpec) -> DynamicalSystem:
     started from (0, 1, 0, 0).  The stiff oscillator u2 and its velocity u4
     are declared as an oscillator pair for the inactivation rule.
     """
-    kappa = spec.kappa
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
 
     def rhs(u, t):
         return np.array([u[2], u[3], -u[0] + 0.5 * u[1] * u[1], -kappa * u[1]])
@@ -55,7 +45,6 @@ def make_simple_model(spec: SimpleModelSpec) -> DynamicalSystem:
         dimension=4,
         rhs=rhs,
         initial_value=np.array([0.0, 1.0, 0.0, 0.0]),
-        final_time=spec.T,
         jacobian=jac,
         oscillator_pairs=((1, 3),),
     )
@@ -87,17 +76,20 @@ class LatticeSpec:
     m: float = 1e-12
     kappa: float = 1.0
     initial_small_displacement: float | None = None
-    T: float = 100.0
 
     def __post_init__(self):
+        if not isinstance(self.p, numbers.Integral):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
+        for key in ("M", "m", "kappa", "initial_small_displacement"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if not (self.M > 0 and self.m > 0):
             raise ValueError("masses must be positive")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
 
     @property
     def n_large(self) -> int:
@@ -232,7 +224,6 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
         dimension=2 * n_pos,
         rhs=rhs,
         initial_value=u0,
-        final_time=spec.T,
         jacobian=jac,
         oscillator_pairs=pairs,
     )

@@ -102,10 +102,9 @@ class SubgridModel:
 def resolve_short(sys: DynamicalSystem, u: Array, t: float, tau: float, step: float) -> Trajectory:
     """Solve the full system from state u at time t over [t, t + 2*tau] with
     the resolved step: the run behind the fit and every control point."""
-    t_end = t + 2.0 * tau
-    window_sys = dataclasses.replace(sys, initial_value=u, final_time=t_end)
+    window_sys = dataclasses.replace(sys, initial_value=u)
     try:
-        return solve_cg1(window_sys, TimePartition.uniform(t, t_end, step))
+        return solve_cg1(window_sys, TimePartition.uniform(t, t + 2.0 * tau, step))
     except ConvergenceError as err:
         raise RuntimeError(
             f"resolved run from t={t:g} failed: {err}; use a smaller resolved_step than {step:g}"
@@ -260,7 +259,6 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
         dimension=sys.dimension,
         rhs=reduced_rhs,
         initial_value=model.initial_value,
-        final_time=sys.final_time,
         jacobian=reduced_jac,
         oscillator_pairs=sys.oscillator_pairs,
     )

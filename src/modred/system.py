@@ -6,6 +6,7 @@ right-hand sides are expected to be pure functions of (u, t).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,8 @@ def frozen_array(values, dtype=float) -> Array:
 
 @dataclass(frozen=True)
 class DynamicalSystem:
-    """First-order system u' = f(u, t) on [0, final_time] with initial value u0.
+    """First-order system u' = f(u, t) with initial value u0; each solve's
+    time partition sets the span it covers.
 
     ``rhs(u, t)`` must return a length-``dimension`` vector and must not mutate
     its arguments.  ``jacobian(u, t)``, if given, returns the N x N matrix with
@@ -46,15 +48,23 @@ class DynamicalSystem:
     dimension: int
     rhs: Callable[[Array, float], Array]
     initial_value: Array
-    final_time: float
     jacobian: Callable[[Array, float], Array] | None = None
     oscillator_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # Checked before the pairs are iterated: a call written for the old
+        # (dimension, rhs, u0, final time, jacobian) order fails here.
+        if not isinstance(self.dimension, numbers.Integral):
+            raise ValueError(f"dimension must be an integer, got {self.dimension!r}")
+        if not callable(self.rhs):
+            raise ValueError(f"rhs must be callable, got {self.rhs!r}")
+        if not (self.jacobian is None or callable(self.jacobian)):
+            raise ValueError(
+                f"jacobian must be callable or None, got {self.jacobian!r}; "
+                "DynamicalSystem takes no final time, the solve sets the span"
+            )
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.final_time > 0:
-            raise ValueError(f"final_time must be positive, got {self.final_time}")
         u0 = frozen_array(self.initial_value)
         if u0.shape != (self.dimension,):
             raise ValueError(

@@ -4,21 +4,20 @@ import pytest
 from modred import DynamicalSystem
 
 
-def linear_system(A, u0, T):
+def linear_system(A, u0):
     """LTI system u' = A u with analytic Jacobian."""
     A = np.asarray(A, dtype=float)
     return DynamicalSystem(
         dimension=len(u0),
         rhs=lambda u, t: A @ u,
         initial_value=np.asarray(u0, dtype=float),
-        final_time=T,
         jacobian=lambda u, t: A,
     )
 
 
-def rotation_system(u0=(1.0, 0.0), T=1.0):
+def rotation_system(u0=(1.0, 0.0)):
     """Planar rotation: u1' = u2, u2' = -u1, with closed-form solution."""
-    return linear_system([[0.0, 1.0], [-1.0, 0.0]], u0, T)
+    return linear_system([[0.0, 1.0], [-1.0, 0.0]], u0)
 
 
 def rotation_exact(u0, t):

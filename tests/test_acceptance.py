@@ -16,7 +16,6 @@ from modred import (
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
-    SimpleModelSpec,
     SubgridModel,
     TimePartition,
     assemble_reduced,
@@ -52,14 +51,14 @@ def criterion(number, name, budget_seconds):
 
 @pytest.fixture(scope="module")
 def stiff_pipeline():
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
+    sys = make_simple_model(1e18)
     reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     return sys, reduced, model, resolved
 
 
 @pytest.fixture(scope="module")
 def lattice_pipeline():
-    spec = LatticeSpec(p=3, M=100.0, m=1e-4, T=24.0)
+    spec = LatticeSpec(p=3, M=100.0, m=1e-4)
     sys = make_lattice(spec)
     reduced, model, resolved = auto_model(sys, 1.0, 0.002)
     return spec, sys, reduced, model, resolved
@@ -67,7 +66,7 @@ def lattice_pipeline():
 
 def test_criterion_1_subgrid_constant(stiff_pipeline):
     with criterion(1, "subgrid constant 0.2495 +- 0.005", 5.0):
-        sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
+        sys = make_simple_model(1e18)
         _, model, _ = auto_model(sys, 1e-7, 2e-10)
         assert abs(model.constants[2] - 0.2495) <= 0.005
         assert not model.active[1] and not model.active[3]
@@ -97,7 +96,7 @@ def test_criterion_3_cost_bookkeeping(stiff_pipeline):
 
 def test_criterion_4_oracle_equivalence_moderate_stiffness():
     with criterion(4, "reduced solution tracks averaged brute force (kappa=1e4)", 60.0):
-        sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
+        sys = make_simple_model(1e4)
         brute = solve_cg1(sys, TimePartition.uniform(0, 10.0, 1e-4))
         nodes = np.linspace(0.05, 9.95, 1987)
         oracle = averaged_values(brute, 0.1, nodes)
@@ -114,7 +113,7 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
         spec, sys, reduced, model, resolved = lattice_pipeline
 
         # baseline A: no fast scales excited, no subgrid model -> D constant
-        quiet_spec = dataclasses.replace(spec, initial_small_displacement=0.0, T=20.0)
+        quiet_spec = dataclasses.replace(spec, initial_small_displacement=0.0)
         quiet = make_lattice(quiet_spec)
         base = solve_cg1(quiet, TimePartition.uniform(0, 20.0, 0.05))
         D0 = diameter(base.states, quiet_spec)
@@ -143,7 +142,7 @@ def test_criterion_5_lattice_baseline_and_contraction(lattice_pipeline):
 def test_criterion_6_dual_and_property_suite():
     with criterion(6, "dual soundness and property suite", 10.0):
         # 2D linear system with analytic solution and adjoint
-        sys = rotation_system(T=1.0)
+        sys = rotation_system()
         k = 0.01
         trivial = SubgridModel(
             constants=np.zeros(2),
@@ -187,14 +186,14 @@ def test_criterion_6_dual_and_property_suite():
         assert np.max(np.abs(lin_model.constants)) <= 1e-6 * np.max(np.abs(f0)) + 1e-12
 
         # frozen-component exactness on the stiff model
-        stiff = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
+        stiff = make_simple_model(1e18)
         sreduced, smodel, _ = auto_model(stiff, 1e-7, 2e-10)
         straj = solve_cg1(sreduced, TimePartition.uniform(0, 10.0, 0.05))
         for i in np.flatnonzero(~smodel.active):
             assert np.all(straj.states[:, i] == smodel.initial_value[i])
 
         # cG(1) second-order convergence
-        decay = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]), 1.0)
+        decay = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]))
         errs = []
         for kk in (0.02, 0.01):
             t2 = solve_cg1(decay, TimePartition.uniform(0, 1.0, kk))

@@ -87,7 +87,7 @@ def test_small_window_reproduces_trajectory_values():
 
 def test_variance_vanishes_for_linear_rhs(rng):
     A = rng.normal(size=(3, 3))
-    sys = linear_system(A, np.zeros(3), 10.0)
+    sys = linear_system(A, np.zeros(3))
     ts = np.linspace(0, 2, 301)
     traj = Trajectory(ts, rng.normal(size=(301, 3)).cumsum(axis=0) * 0.01)
     v = variance_values(traj, sys, 0.4, [0.5, 1.0, 1.5])
@@ -100,8 +100,8 @@ def test_variance_invariant_under_constant_shift():
     def f(u, t):
         return np.array([u[1], -u[0]])
 
-    sys_a = DynamicalSystem(2, f, np.zeros(2), 10.0)
-    sys_b = DynamicalSystem(2, lambda u, t: f(u, t) + c, np.zeros(2), 10.0)
+    sys_a = DynamicalSystem(2, f, np.zeros(2))
+    sys_b = DynamicalSystem(2, lambda u, t: f(u, t) + c, np.zeros(2))
     ts = np.linspace(0, 3, 301)
     traj = Trajectory(ts, np.stack([np.sin(5 * ts), np.cos(7 * ts)], axis=1))
     t = [0.5, 1.5, 2.5]
@@ -123,7 +123,7 @@ def test_variance_of_stiff_oscillator_coupling():
     def f(u, t):
         return np.array([u[2], u[3], -u[0] + 0.5 * u[1] ** 2, -omega**2 * u[1]])
 
-    sys = DynamicalSystem(4, f, states[0], 1.0)
+    sys = DynamicalSystem(4, f, states[0])
     v = variance_values(traj, sys, tau, [tau])[0]
     assert abs(v[2] - 0.25) <= 0.01
 
@@ -138,7 +138,7 @@ def test_mean_square_of_fast_oscillation():
 
 
 def test_variance_refuses_boundary_strips():
-    sys = DynamicalSystem(1, lambda u, t: u, np.zeros(1), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: u, np.zeros(1))
     traj = Trajectory(np.linspace(0, 1, 101), np.linspace(0, 1, 101)[:, None])
     with pytest.raises(ValueError, match="interior"):
         variance_values(traj, sys, 0.2, [0.05])
@@ -152,7 +152,7 @@ def test_variance_exact_for_affine_data(rng):
     b = rng.normal(size=2)
     A = rng.normal(size=(2, 2))
     c = rng.normal(size=2)
-    sys = DynamicalSystem(2, lambda u, t: A @ u + c * t, np.zeros(2), 10.0)
+    sys = DynamicalSystem(2, lambda u, t: A @ u + c * t, np.zeros(2))
     ts = np.linspace(0, 4, 101)
     traj = Trajectory(ts, np.outer(ts, a) + b)
     np.testing.assert_allclose(

@@ -137,7 +137,7 @@ from modred import DynamicalSystem
 A = np.array([[0.0, 1.0], [-0.04, 0.0]])
 
 def make_system():
-    return DynamicalSystem(2, lambda u, t: A @ u, np.array([1.0, 0.0]), 20.0,
+    return DynamicalSystem(2, lambda u, t: A @ u, np.array([1.0, 0.0]),
                            jacobian=lambda u, t: A)
 """
     )
@@ -313,7 +313,7 @@ import numpy as np
 from modred import DynamicalSystem
 
 def make_system():
-    return DynamicalSystem(2, lambda u, t: -u[0], np.array([1.0, 2.0]), 1.0)
+    return DynamicalSystem(2, lambda u, t: -u[0], np.array([1.0, 2.0]))
 """
     )
     cfg = write_config(
@@ -325,6 +325,51 @@ def make_system():
         assert run_cli(command, cfg) == 1
         assert "rhs returned shape (), expected (2,)" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("np.zeros(2), final_time=1.0", "unexpected keyword argument 'final_time'"),
+        ("np.zeros(2), 1.0", "takes no final time"),
+        ("np.zeros(2), 1.0, lambda u, t: -np.eye(2)", "takes no final time"),
+    ],
+    ids=["keyword", "positional", "positional-with-jacobian"],
+)
+def test_old_style_problem_file_is_a_config_error(tmp_path, capsys, call, message):
+    # a problem file written for the old DynamicalSystem(..., final_time, ...)
+    problem = tmp_path / "old_style.py"
+    problem.write_text(
+        f"""
+import numpy as np
+from modred import DynamicalSystem
+
+def make_system():
+    return DynamicalSystem(2, lambda u, t: -u, {call})
+"""
+    )
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n"
+        f"tau = 0.1\noutput = {tmp_path/'s'}\n",
+    )
+    for command in ("solve", "reduce"):
+        assert run_cli(command, cfg) == 1
+        err = capsys.readouterr().err
+        assert str(problem) in err and message in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_problem_file_that_raises_on_import_is_a_config_error(tmp_path, capsys):
+    problem = tmp_path / "broken.py"
+    problem.write_text("import numpy as np\nnp.zeros(2) + np.zeros(3)\n")
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n",
+    )
+    assert run_cli("solve", cfg) == 1
+    err = capsys.readouterr().err
+    assert str(problem) in err and "operands could not be broadcast" in err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

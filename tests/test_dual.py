@@ -10,7 +10,6 @@ from modred import (
     DualProblem,
     DynamicalSystem,
     LatticeSpec,
-    SimpleModelSpec,
     SubgridModel,
     TimePartition,
     Trajectory,
@@ -36,7 +35,7 @@ GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)
 def test_scalar_adjoint_closed_form(a):
     # -phi' = a phi with phi(T) = 1 gives phi(t) = exp(a (T - t)),
     # so phi(0) = exp(a) at T = 1
-    sys = DynamicalSystem(1, lambda u, t: a * u, np.array([1.0]), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: a * u, np.array([1.0]))
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 1e-3))
     phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0])), 1e-3)
     assert abs(phi.states[0, 0] - np.exp(a)) <= 1e-4
@@ -45,7 +44,7 @@ def test_scalar_adjoint_closed_form(a):
 
 
 def test_constant_jacobian_free_dual():
-    sys = DynamicalSystem(2, lambda u, t: np.array([1.0, 2.0]), np.zeros(2), 5.0)
+    sys = DynamicalSystem(2, lambda u, t: np.array([1.0, 2.0]), np.zeros(2))
     traj = solve_cg1(sys, TimePartition.uniform(0, 5.0, 0.1))
     psi = np.array([0.3, -0.7])
     phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi), 0.1)
@@ -55,7 +54,7 @@ def test_constant_jacobian_free_dual():
 def test_error_representation_matches_direct_error():
     # for a linear system the dual representation of the output error is an
     # identity; evaluate it with the analytic adjoint and Gauss quadrature
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     k = 0.01
     U = solve_cg1(sys, TimePartition.uniform(0, 1.0, k))
     psi = np.array([1.0, 0.0])
@@ -94,7 +93,7 @@ def test_stability_factors_exponential():
 
 
 def test_stability_factors_homogeneous_in_psi():
-    sys = rotation_system(T=2.0)
+    sys = rotation_system()
     traj = solve_cg1(sys, TimePartition.uniform(0, 2.0, 0.01))
     psi = np.array([0.6, 0.8])
     phi1 = solve_dual(DualProblem(primal=traj, sys=sys, psi=psi), 0.01)
@@ -108,7 +107,7 @@ def test_stability_factors_homogeneous_in_psi():
 
 def test_stability_factors_orientation_invariant():
     # reversing the bookkeeping (s = T - t) must not change the factors
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.02))
     phi = solve_dual(DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0])), 0.02)
     reversed_phi = Trajectory((1.0 - phi.times)[::-1], phi.states[::-1])
@@ -134,12 +133,12 @@ def _frozen_model(sys, frozen):
 
 
 def _reduced_lattice():
-    sys = make_lattice(LatticeSpec(p=3, T=1.0))
+    sys = make_lattice(LatticeSpec(p=3))
     return sys, [c for pair in sys.oscillator_pairs for c in pair]
 
 
 def _reduced_simple():
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=1.0))
+    sys = make_simple_model(1e18)
     return sys, [1, 3]
 
 
@@ -186,7 +185,7 @@ def _dual_reference(dp, step):
 def test_dual_matches_per_step_reference_exactly(step):
     # more than one interpolation block, and a dual partition that does and
     # does not coincide with the primal one
-    sys = make_simple_model(SimpleModelSpec(kappa=4.0, T=25.0))
+    sys = make_simple_model(4.0)
     U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
     dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]))
     np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
@@ -196,7 +195,7 @@ def test_dual_solves_only_the_active_block(monkeypatch):
     # frozen components have zero Jacobian rows: on the reduced lattice at
     # p=4 (100 components, 36 frozen) each step solves the 64 active ones
     # alone and must agree with the dense solve over all components
-    sys = make_lattice(LatticeSpec(p=4, T=1.0))
+    sys = make_lattice(LatticeSpec(p=4))
     frozen = [c for pair in sys.oscillator_pairs for c in pair]
     reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
@@ -220,7 +219,7 @@ def test_dual_solves_only_the_active_block(monkeypatch):
 def test_estimate_zero_for_exactly_solved_linear_system():
     # constant rhs is integrated exactly by cG(1): residual and modeling terms
     # both vanish at machine precision
-    sys = DynamicalSystem(2, lambda u, t: np.array([1.0, -0.5]), np.zeros(2), 4.0)
+    sys = DynamicalSystem(2, lambda u, t: np.array([1.0, -0.5]), np.zeros(2))
     model = _trivial_model(2, 0.2, sys.initial_value)
     reduced = assemble_reduced(sys, model)
     U = solve_cg1(reduced, TimePartition.uniform(0, 4.0, 0.1))
@@ -234,7 +233,7 @@ def test_estimate_zero_for_exactly_solved_linear_system():
 
 
 def test_estimate_bounds_linear_discretization_error():
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     k = 0.01
     model = _trivial_model(2, 0.1, sys.initial_value)
     reduced = assemble_reduced(sys, model)
@@ -249,7 +248,7 @@ def test_estimate_bounds_linear_discretization_error():
 
 
 def test_model_term_zero_when_gbar_matches():
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     model = _trivial_model(2, 0.1, sys.initial_value)
     reduced = assemble_reduced(sys, model)
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
@@ -261,7 +260,7 @@ def test_model_term_zero_when_gbar_matches():
 
 
 def test_dual_linearity(rng):
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=10.0))
+    sys = make_simple_model(1e18)
     reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     U = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.05))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
@@ -272,7 +271,7 @@ def test_dual_linearity(rng):
 
 
 def test_control_points_on_fresh_simple_model():
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
+    sys = make_simple_model(1e18)
     reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     U = solve_cg1(reduced, TimePartition.uniform(0, 1.0, 0.01))
     points = validate_at_control_points(U, sys, model, [2e-7, 0.5])
@@ -284,7 +283,7 @@ def test_control_points_on_fresh_simple_model():
 def test_control_points_resolve_with_the_model_window(monkeypatch):
     # the fitted model is the only carrier of the window: control points
     # resolve with its tau and resolved_step, here not the tau/500 default
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     model = dataclasses.replace(_trivial_model(2, 0.1, sys.initial_value), resolved_step=3e-4)
     U = solve_cg1(assemble_reduced(sys, model), TimePartition.uniform(0, 1.0, 0.01))
     calls = []
@@ -304,7 +303,7 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
     # moderately stiff configuration with clean scale separation
     # (sqrt(kappa) * tau = 100), so the oscillator is frozen and control-point
     # refits measure the true forcing
-    sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
+    sys = make_simple_model(1e4)
     # step 1e-3 also resolves the second-harmonic ripple the coupling injects
     reduced, model, resolved = auto_model(sys, 1.0, 0.001)
     assert list(model.active) == [True, False, True, False]
@@ -333,7 +332,7 @@ def test_corrupted_subgrid_constant_is_caught_and_bounded():
 
 
 def test_dual_problem_validation():
-    sys = rotation_system(T=1.0)
+    sys = rotation_system()
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.1))
     with pytest.raises(ValueError, match="nonzero"):
         DualProblem(primal=traj, sys=sys, psi=np.zeros(2))

@@ -10,7 +10,6 @@ from modred import (
     DynamicalSystem,
     EvaluationError,
     LatticeSpec,
-    SimpleModelSpec,
     SolverOptions,
     SubgridModel,
     TimePartition,
@@ -30,14 +29,14 @@ GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)  # Gauss points of the 2-point rule
 
 def test_constant_solution():
     c = np.array([2.0, -3.0])
-    sys = DynamicalSystem(2, lambda u, t: np.zeros(2), c, 1.0)
+    sys = DynamicalSystem(2, lambda u, t: np.zeros(2), c)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.1))
     np.testing.assert_array_equal(traj.states, np.tile(c, (11, 1)))
 
 
 @pytest.mark.parametrize("lam,k", [(-1.0, 0.1), (0.5, 0.2), (-3.0, 0.05)])
 def test_single_step_matches_midpoint_recursion(lam, k):
-    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]), k)
+    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]))
     traj = solve_cg1(sys, TimePartition(np.array([0.0, k])))
     expected = (1.0 + 0.5 * k * lam) / (1.0 - 0.5 * k * lam)
     np.testing.assert_allclose(traj.states[1, 0], expected, rtol=1e-11)
@@ -46,7 +45,7 @@ def test_single_step_matches_midpoint_recursion(lam, k):
 def test_reduced_oscillator_matches_closed_form():
     # x'' + x = 1/4 from rest: x(t) = (1/4)(1 - cos t)
     sys = DynamicalSystem(
-        2, lambda u, t: np.array([u[1], 0.25 - u[0]]), np.zeros(2), 100.0
+        2, lambda u, t: np.array([u[1], 0.25 - u[0]]), np.zeros(2)
     )
     traj = solve_cg1(sys, TimePartition.uniform(0, 100.0, 0.01))
     exact = 0.25 * (1.0 - np.cos(traj.times))
@@ -54,7 +53,7 @@ def test_reduced_oscillator_matches_closed_form():
 
 
 def test_second_order_convergence():
-    sys = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]))
     errors = []
     for k in (0.02, 0.01):
         traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, k))
@@ -64,13 +63,13 @@ def test_second_order_convergence():
 
 
 def test_energy_conservation_harmonic_oscillator():
-    traj = solve_cg1(rotation_system(T=10.0), TimePartition.uniform(0, 10.0, 0.01))
+    traj = solve_cg1(rotation_system(), TimePartition.uniform(0, 10.0, 0.01))
     energy = 0.5 * np.sum(traj.states**2, axis=1)
     assert np.max(np.abs(np.diff(energy))) < 1e-10
 
 
 def test_divergence_raises_with_interval():
-    sys = DynamicalSystem(1, lambda u, t: -1e4 * u, np.array([1.0]), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: -1e4 * u, np.array([1.0]))
     with pytest.raises(ConvergenceError) as exc:
         solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.01))
     assert exc.value.interval == 1
@@ -80,7 +79,7 @@ def test_divergence_raises_with_interval():
 def test_overflowing_divergence_raises_without_numpy_warning():
     # the simple model at kappa=1e18 with step 0.01: the iterates overflow
     # within a few iterations, which must surface only as ConvergenceError
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=0.1))
+    sys = make_simple_model(1e18)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError) as exc:
@@ -96,10 +95,10 @@ def test_step_guard_raises_at_interval_one_and_spares_the_equilibrium():
     # a system at rest never needs one
     part = TimePartition.uniform(0, 40.0, 4.0)
     with pytest.raises(ConvergenceError) as exc:
-        solve_cg1(rotation_system(T=40.0), part)
+        solve_cg1(rotation_system(), part)
     assert exc.value.interval == 1
     assert exc.value.contraction == pytest.approx(2.0, rel=1e-12)
-    rest = solve_cg1(rotation_system(u0=(0.0, 0.0), T=40.0), part)
+    rest = solve_cg1(rotation_system(u0=(0.0, 0.0)), part)
     np.testing.assert_array_equal(rest.states, np.zeros((11, 2)))
 
 
@@ -108,7 +107,7 @@ def test_nonfinite_rhs_raises_evaluation_error_naming_t_and_component(bad):
     # a NaN or an overflow from the rhs is a bad evaluation, not a step that
     # failed to converge, and it surfaces without a numpy warning
     sys = DynamicalSystem(
-        2, lambda u, t: np.array([-u[0], bad(t) if t > 0.3 else 0.0]), np.ones(2), 1.0
+        2, lambda u, t: np.array([-u[0], bad(t) if t > 0.3 else 0.0]), np.ones(2)
     )
     part = TimePartition.uniform(0, 1.0, 0.1)
     with warnings.catch_warnings():
@@ -145,8 +144,8 @@ def _damped_fixed_point(sys, part, tol=1e-12):
 @pytest.mark.parametrize(
     "sys,tau,step",
     [
-        (make_lattice(LatticeSpec(p=3, m=1e-4, T=20.0)), 1.0, 0.002),
-        (make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0)), 1e-7, 2e-10),
+        (make_lattice(LatticeSpec(p=3, m=1e-4)), 1.0, 0.002),
+        (make_simple_model(1e18), 1e-7, 2e-10),
     ],
     ids=["lattice-p3", "simple-kappa1e18"],
 )
@@ -171,7 +170,7 @@ def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, tau, step):
 
 def test_fixed_point_tolerance_is_respected():
     lam = -2.0
-    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]))
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.05), SolverOptions())
     # every step satisfies the midpoint relation to tolerance
     for j in range(1, len(traj.times)):
@@ -183,14 +182,14 @@ def test_fixed_point_tolerance_is_respected():
 
 def test_residuals_zero_for_exactly_solved_system():
     c = np.array([1.5])
-    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), c, 1.0)
+    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), c)
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.25))
     np.testing.assert_array_equal(residual_samples(traj, sys), np.zeros(4))
 
 
 def test_residual_midpoint_collocation():
     lam = -1.3
-    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]))
     traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.1))
     for j in range(1, len(traj.times)):
         k = traj.times[j] - traj.times[j - 1]
@@ -202,7 +201,7 @@ def test_residual_midpoint_collocation():
 def test_residual_hand_case_time_dependent_rhs():
     # u' = t over one unit step: slope is 1/2, residual r(t) = 1/2 - t, and
     # the Gauss samples give |k r| = 1/(2 sqrt 3)
-    sys = DynamicalSystem(1, lambda u, t: np.array([t]), np.zeros(1), 1.0)
+    sys = DynamicalSystem(1, lambda u, t: np.array([t]), np.zeros(1))
     traj = solve_cg1(sys, TimePartition(np.array([0.0, 1.0])))
     samples = residual_samples(traj, sys)
     assert samples.shape == (1,)
@@ -211,7 +210,7 @@ def test_residual_hand_case_time_dependent_rhs():
 
 def test_residual_samples_equal_the_per_row_norm():
     # the dot per row is the one np.linalg.norm takes, so no bit may move
-    sys = make_lattice(LatticeSpec(p=3, m=1e-4, T=1.0))
+    sys = make_lattice(LatticeSpec(p=3, m=1e-4))
     traj = solve_cg1(sys, TimePartition.uniform(0.0, 0.05, 0.001))
     times, k = traj.times, np.diff(traj.times)
     slopes = np.diff(traj.states, axis=0) / k[:, None]
@@ -229,10 +228,10 @@ def test_residual_samples_check_every_rhs_value():
     # a scalar would broadcast over both components, a NaN would become the
     # residual
     traj = Trajectory([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    scalar = DynamicalSystem(2, lambda u, t: 0.0, np.zeros(2), 2.0)
+    scalar = DynamicalSystem(2, lambda u, t: 0.0, np.zeros(2))
     with pytest.raises(ValueError, match=r"rhs returned shape \(\), expected \(2,\)"):
         residual_samples(traj, scalar)
-    nan = DynamicalSystem(2, lambda u, t: np.array([t, np.nan]), np.zeros(2), 2.0)
+    nan = DynamicalSystem(2, lambda u, t: np.array([t, np.nan]), np.zeros(2))
     t_first = float(0.5 - GAUSS_HALF_WIDTH)
     with pytest.raises(EvaluationError, match=rf"component 1 is non-finite at t={t_first!r}"):
         residual_samples(traj, nan)
@@ -262,7 +261,7 @@ def test_wrong_shape_rhs_is_rejected_at_the_first_call():
         calls.append(t)
         return -u[0]
 
-    sys = DynamicalSystem(2, rhs, np.array([1.0, 2.0]), 1.0)
+    sys = DynamicalSystem(2, rhs, np.array([1.0, 2.0]))
     model = SubgridModel(
         constants=np.zeros(2),
         active=np.ones(2, dtype=bool),

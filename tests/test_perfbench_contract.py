@@ -1,19 +1,47 @@
 """The benchmark's traced run rebinds modred module attributes by name
 (perfbench/tracing.py: instrument).  Renaming or removing any of them breaks
-`perfbench/run.py --trace 1` before it reports a result."""
+`perfbench/run.py --trace 1` before it reports a result.  So does a change to
+the signatures its wrappers assume: `solve_cg1(sys, part, opts)`,
+`solve_dual(dp, step)`, and a system that `build_system` returns taking a new
+rhs through `dataclasses.replace`."""
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 import modred.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_instrument_binds_and_restores_every_target(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_instrument_binds_and_restores_every_target(tracing):
     original = modred.cli.auto_model
     with tracing.instrument(tracing.Tracer()):
         assert modred.cli.auto_model is not original
     assert modred.cli.auto_model is original
+
+
+def test_traced_pipeline_records_every_wrapped_layer(tracing, tmp_path):
+    # the `modred example simple` config over a short T
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "problem = simple\nkappa = 1e18\nT = 1\ntau = 1e-7\nresolved_step = 2e-10\n"
+        f"reduced_step = 0.1\ncontrol_points = 2\npsi = 1\noutput = {tmp_path / 's'}\n"
+    )
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert modred.cli.main(["reduce", str(cfg)]) == 0
+        assert modred.cli.main(["estimate", str(cfg)]) == 0
+    names = {sp.name for sp in tracer.spans}
+    for name in ("reduction.resolve_short", "dual.measure_gbar", "dual.solve_dual"):
+        assert name in names
+    kinds = {sp.attrs["kind"] for sp in tracer.spans if sp.name == "integrator.solve_cg1"}
+    assert kinds == {"resolved", "reduced"}
+    assert tracing.rhs_calls(tracer.spans) > 0

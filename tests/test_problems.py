@@ -8,7 +8,6 @@ from modred import (
     DualProblem,
     EvaluationError,
     LatticeSpec,
-    SimpleModelSpec,
     TimePartition,
     Trajectory,
     analytic_reduced_simple,
@@ -27,7 +26,7 @@ from modred.problems import _lattice_geometry
 
 def test_simple_model_rhs_and_pairs():
     kappa = 7.0
-    sys = make_simple_model(SimpleModelSpec(kappa=kappa, T=1.0))
+    sys = make_simple_model(kappa)
     np.testing.assert_allclose(
         evaluate_rhs(sys, [sys.initial_value], [0.0]), [[0.0, 0.0, 0.5, -kappa]]
     )
@@ -38,7 +37,7 @@ def test_simple_model_oscillator_amplitude_and_phase():
     # u2 obeys u2'' + kappa u2 = 0 from (1, 0): amplitude is an invariant of
     # the midpoint rule and the phase error stays tiny at this resolution
     kappa = 1.0
-    sys = make_simple_model(SimpleModelSpec(kappa=kappa, T=100.0))
+    sys = make_simple_model(kappa)
     period = 2 * np.pi / np.sqrt(kappa)
     traj = solve_cg1(sys, TimePartition.uniform(0, 10 * period, 0.005))
     amplitude = np.sqrt(traj.states[:, 1] ** 2 + traj.states[:, 3] ** 2 / kappa)
@@ -55,14 +54,35 @@ def test_analytic_reduced_simple_values():
 
 def test_simple_model_spec_validation():
     with pytest.raises(ValueError):
-        SimpleModelSpec(kappa=0.5, T=1.0)
-    with pytest.raises(ValueError):
-        SimpleModelSpec(kappa=2.0, T=0.0)
+        make_simple_model(0.5)
+
+
+@pytest.mark.parametrize(
+    "build,key",
+    [
+        (lambda: make_simple_model(float("nan")), "kappa"),
+        (lambda: make_simple_model(float("inf")), "kappa"),
+        (lambda: LatticeSpec(p=3, kappa=float("inf")), "kappa"),
+        (lambda: LatticeSpec(p=3, M=float("inf")), "M"),
+        (lambda: LatticeSpec(p=3, m=float("inf")), "m"),
+        (lambda: LatticeSpec(p=3, m=float("nan")), "m"),
+        (lambda: LatticeSpec(p=3, initial_small_displacement=float("nan")), "initial_small_displacement"),
+        (lambda: LatticeSpec(p=3.5), "p"),
+        (lambda: LatticeSpec(p=3.0), "p"),
+    ],
+    ids=["simple-kappa-nan", "simple-kappa-inf", "lattice-kappa-inf", "lattice-M-inf",
+         "lattice-m-inf", "lattice-m-nan", "lattice-displacement-nan", "lattice-p-3.5",
+         "lattice-p-3.0"],
+)
+def test_problem_parameters_fail_at_construction(build, key):
+    # each would otherwise build, then fail (or solve silently) later
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        build()
 
 
 @pytest.fixture(scope="module")
 def lattice_spec():
-    return LatticeSpec(p=3, M=100.0, m=1e-4, T=10.0)
+    return LatticeSpec(p=3, M=100.0, m=1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +107,11 @@ def test_lattice_equilibrium_is_force_free(lattice_spec):
 
 
 def test_lattice_small_mass_geometry():
-    spec = LatticeSpec(p=3, m=1e-4, initial_small_displacement=0.0, T=1.0)
+    spec = LatticeSpec(p=3, m=1e-4, initial_small_displacement=0.0)
     sys = make_lattice(spec)
     traj = Trajectory([0.0, 1.0], np.tile(sys.initial_value, (2, 1)))
     np.testing.assert_allclose(small_mass_distance(traj.states, spec), np.sqrt(2.0) / 4.0)
-    spec2 = LatticeSpec(p=2, m=1e-4, initial_small_displacement=0.0, T=1.0)
+    spec2 = LatticeSpec(p=2, m=1e-4, initial_small_displacement=0.0)
     sys2 = make_lattice(spec2)
     traj2 = Trajectory([0.0, 1.0], np.tile(sys2.initial_value, (2, 1)))
     np.testing.assert_allclose(small_mass_distance(traj2.states, spec2), np.sqrt(2.0) / 2.0)
@@ -182,11 +202,11 @@ def test_lattice_oscillator_pairs_cover_small_masses(lattice_spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        LatticeSpec(p=3, m=1e-4, T=1.0),
-        LatticeSpec(p=3, T=1.0),
-        LatticeSpec(p=6, m=1e-4, T=1.0),
-        LatticeSpec(p=6, T=1.0),
-        SimpleModelSpec(kappa=1e6, T=1.0),
+        LatticeSpec(p=3, m=1e-4),
+        LatticeSpec(p=3),
+        LatticeSpec(p=6, m=1e-4),
+        LatticeSpec(p=6),
+        1e6,
     ],
     ids=["lattice-p3-m1e-4", "lattice-p3", "lattice-p6-m1e-4", "lattice-p6", "simple"],
 )
@@ -249,7 +269,7 @@ def _add_at_kernels(spec):
 @pytest.mark.parametrize("p", [2, 3, 6])
 def test_lattice_kernels_equal_the_add_at_reference(p, rng):
     # the bincount scatter adds in np.add.at's order, so no bit may move
-    spec = LatticeSpec(p=p, m=1e-4, T=1.0)
+    spec = LatticeSpec(p=p, m=1e-4)
     sys = make_lattice(spec)
     ref_rhs, ref_jac = _add_at_kernels(spec)
     for scale in (1e-6, 1e-3, 1e-1):
@@ -293,5 +313,5 @@ def test_nonfinite_evaluation_raises_without_numpy_warning(stage):
                 primal = Trajectory([0.0, 0.1], [u, u])
                 solve_dual(DualProblem(primal, sys, np.ones(sys.dimension)), 0.05)
             else:
-                simple = make_simple_model(SimpleModelSpec(kappa=1.0, T=1.0))
+                simple = make_simple_model(1.0)
                 evaluate_rhs(simple, [[0.0, 1e200, 0.0, 0.0]], [0.0])

@@ -6,7 +6,6 @@ import pytest
 from conftest import linear_system
 from modred import (
     DynamicalSystem,
-    SimpleModelSpec,
     SubgridModel,
     TimePartition,
     Trajectory,
@@ -24,7 +23,7 @@ from modred.reduction import format_model_report, parse_model_report
 def test_unresolved_window_names_the_contraction_estimate():
     # kappa=4e20 at step 2e-10: (k/2) * sqrt(kappa) = 2, so the first step
     # that evaluates the Jacobian is rejected, and the message says why
-    sys = make_simple_model(SimpleModelSpec(kappa=4e20, T=1.0))
+    sys = make_simple_model(4e20)
     with pytest.raises(RuntimeError, match=r"resolved run from t=0 failed: cG\(1\) step on interval 1 ") as exc:
         resolve_short(sys, sys.initial_value, 0.0, 1e-7, 2e-10)
     assert "spectral radius of (k/2)J estimated at 2.000e+00 >= 1" in str(exc.value)
@@ -33,7 +32,7 @@ def test_unresolved_window_names_the_contraction_estimate():
 
 @pytest.fixture(scope="module")
 def stiff_modeling():
-    sys = make_simple_model(SimpleModelSpec(kappa=1e18, T=100.0))
+    sys = make_simple_model(1e18)
     reduced, model, resolved = auto_model(sys, 1e-7, 2e-10)
     return sys, reduced, model, resolved
 
@@ -48,13 +47,13 @@ def test_resolve_short_node_count_and_periods(stiff_modeling):
 
 
 def test_resolve_short_constant_field():
-    sys = DynamicalSystem(2, lambda u, t: np.zeros(2), np.array([1.0, -1.0]), 10.0)
+    sys = DynamicalSystem(2, lambda u, t: np.zeros(2), np.array([1.0, -1.0]))
     traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.001)
     np.testing.assert_array_equal(traj.states, np.tile(sys.initial_value, (len(traj.times), 1)))
 
 
 def test_resolve_short_exponential_endpoint():
-    sys = DynamicalSystem(1, lambda u, t: -u, np.array([2.0]), 10.0)
+    sys = DynamicalSystem(1, lambda u, t: -u, np.array([2.0]))
     traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.002)
     np.testing.assert_allclose(traj.times[-1], 1.0)
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
@@ -63,7 +62,7 @@ def test_resolve_short_exponential_endpoint():
 def test_auto_model_resolved_step_bound():
     # the advised maximum step leaves MIN_WINDOW_NODES nodes in the fit
     # window [tau/2, 3*tau/2], so a step just under it passes the fit
-    sys = make_simple_model(SimpleModelSpec(kappa=1e4, T=10.0))
+    sys = make_simple_model(1e4)
     with pytest.raises(ValueError, match="at most 0.0005"):
         auto_model(sys, 0.1, 0.00051)
     for step in (0.0005, 0.000499):
@@ -84,7 +83,7 @@ def test_fit_linear_system_all_active_zero_constants(rng):
     # slow LTI dynamics: no component may be frozen and the fitted constants
     # vanish to quadrature accuracy
     A = np.array([[0.0, 1.0], [-0.04, 0.0]])
-    sys = linear_system(A, [1.0, 0.0], 100.0)
+    sys = linear_system(A, [1.0, 0.0])
     reduced, model, resolved = auto_model(sys, 0.5, 0.001)
     assert model.active.all()
     f0 = evaluate_rhs(sys, [sys.initial_value], [0.0])
@@ -92,7 +91,7 @@ def test_fit_linear_system_all_active_zero_constants(rng):
 
 
 def test_fit_zero_field_keeps_everything_active():
-    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), np.ones(3), 10.0)
+    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), np.ones(3))
     _, model, _ = auto_model(sys, 0.5, 0.001)
     assert model.active.all()
     np.testing.assert_array_equal(model.constants, np.zeros(3))
@@ -101,7 +100,7 @@ def test_fit_zero_field_keeps_everything_active():
 def test_fit_refuses_sparse_window():
     ts = np.linspace(0, 1, 21)
     traj = Trajectory(ts, np.zeros((21, 1)))
-    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.zeros(1), 10.0)
+    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="nodes"):
         fit_constant_subgrid(traj, sys, 0.5, 0.001)
 
@@ -112,14 +111,14 @@ def test_fit_refuses_underresolved_oscillation():
     omega = 400.0
     ts = np.linspace(0, 1, 501)
     traj = Trajectory(ts, np.cos(omega * ts)[:, None])
-    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.array([1.0]), 10.0)
+    sys = DynamicalSystem(1, lambda u, t: np.zeros(1), np.array([1.0]))
     with pytest.raises(ValueError, match="nodes per"):
         fit_constant_subgrid(traj, sys, 0.5, 0.001)
 
     # with two macroscopic oscillations (~10.5 and ~4.5 nodes per period) and
     # a slow ramp, the figure is the per-component reference loop's minimum
     traj = Trajectory(ts, np.stack([np.cos(300 * ts), np.cos(700 * ts), 0.1 * ts], axis=1))
-    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), traj.states[0], 10.0)
+    sys = DynamicalSystem(3, lambda u, t: np.zeros(3), traj.states[0])
     window = traj.states[(ts >= 0.25) & (ts <= 0.75)]
     worst = np.inf
     for i in (0, 1):
@@ -142,7 +141,7 @@ def test_build_reduced_rhs_combines_forcing_and_freezing(stiff_modeling):
 
 def test_identity_reduction_reproduces_original(rng):
     A = np.array([[0.0, 1.0], [-0.09, 0.0]])
-    sys = linear_system(A, [1.0, 0.5], 20.0)
+    sys = linear_system(A, [1.0, 0.5])
     reduced, model, resolved = auto_model(sys, 0.25, 5e-4)
     part = TimePartition.uniform(0, 5.0, 0.01)
     full = solve_cg1(sys, part)
@@ -154,7 +153,7 @@ def test_identity_reduction_reproduces_original(rng):
 
 
 def test_all_inactive_model_freezes_everything():
-    sys = DynamicalSystem(2, lambda u, t: np.array([u[1], -u[0]]), np.array([1.0, 0.0]), 10.0)
+    sys = DynamicalSystem(2, lambda u, t: np.array([u[1], -u[0]]), np.array([1.0, 0.0]))
     model = SubgridModel(
         constants=np.zeros(2),
         active=np.array([False, False]),
