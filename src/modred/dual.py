@@ -39,8 +39,8 @@ from .system import (
     jacobian,
 )
 
-#: Dimension from which a dual step solves its live block alone; below, dense is faster.
-BLOCK_DUAL_MIN = 64
+#: Dimension from which the dual solves step by step; below, by stacked propagators.
+BLOCK_DUAL_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class DualProblem:
     psi: Array
 
     def __post_init__(self):
+        n, m = self.sys.dimension, self.primal.dimension
+        if n != m:
+            raise ValueError(f"system dimension {n} does not match the primal trajectory's dimension {m}")
         psi = frozen_array(self.psi)
         if psi.shape != (self.primal.dimension,):
             raise ValueError("psi dimension does not match the primal trajectory")
@@ -67,12 +70,13 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     Substituting s = T - t turns the problem into a forward linear system,
     which is stepped with cG(1); since the system is linear in phi, each
-    midpoint step is solved directly, over the live block alone from
-    BLOCK_DUAL_MIN components on.  The returned trajectory is oriented
-    forward in t.
+    midpoint step is solved directly: below BLOCK_DUAL_MIN components by one
+    stacked solve per interpolation block for the propagators (I - hA)^-1
+    (I + hA), hA = (k/2) J^T; from BLOCK_DUAL_MIN on, step by step over the
+    live block alone.  The returned trajectory is oriented forward in t.
     """
-    if not step > 0:
-        raise ValueError("dual step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError("dual step must be positive and finite")
     t_start, t_end = dp.primal.span
     part = TimePartition.uniform(0.0, t_end - t_start, step)
     s_nodes = part.times
@@ -87,12 +91,20 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
             hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
             t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
             _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
+            if n < BLOCK_DUAL_MIN:
+                hA = np.empty((hi - lo, n, n))
+                for i, (u, t) in enumerate(zip(u_mids, t_mids)):
+                    hA[i] = jacobian(dp.sys, u, float(t)).T
+                hA *= 0.5 * np.diff(s_nodes[lo - 1 : hi])[:, None, None]
+                for j, P in zip(range(lo, hi), np.linalg.solve(eye - hA, eye + hA)):
+                    phi[j] = P @ phi[j - 1]
+                continue
             for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
                 k = float(s_nodes[j] - s_nodes[j - 1])
                 A = jacobian(dp.sys, u_mid, float(t_mid)).T
                 rhs = phi[j - 1] + 0.5 * k * (A @ phi[j - 1])
                 live = A.any(axis=0)
-                if n < BLOCK_DUAL_MIN or live.all():
+                if live.all():
                     phi[j] = np.linalg.solve(eye - 0.5 * k * A, rhs)
                     continue
                 # Zero rows of J (frozen components) decouple: solve the live block alone.

@@ -74,6 +74,9 @@ class TimePartition:
     def uniform(cls, t_start: float, t_end: float, step: float) -> "TimePartition":
         """Uniform partition of [t_start, t_end]; the step is rounded so that
         an integer number of intervals covers the interval exactly."""
+        for name, value in (("t_start", t_start), ("t_end", t_end), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
         if not t_end > t_start:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from modred import (
     validate_at_control_points,
 )
 from modred.dual import BLOCK_DUAL_MIN
+from modred.system import INTERPOLATE_BLOCK
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)
 
@@ -164,31 +166,87 @@ def test_dual_makes_no_rhs_calls(build):
     assert calls == 0
 
 
-def _dual_reference(dp, step):
-    """solve_dual's states by one single-time interpolation per step, the
-    loop that the batched midpoint interpolation replaced."""
+def _midpoint_matrices(dp, step):
+    """hA = (k/2) J^T at each dual step's midpoint, by one single-time
+    interpolation per step, the loop that the batched midpoint interpolation
+    replaced."""
     t_start, t_end = dp.primal.span
     s = TimePartition.uniform(0.0, t_end - t_start, step).times
-    eye = np.eye(len(dp.psi))
-    phi = [dp.psi]
     for j in range(1, len(s)):
         k = float(s[j] - s[j - 1])
         t_mid = t_end - 0.5 * (float(s[j]) + float(s[j - 1]))
         t_in = np.array([min(max(t_mid, t_start), t_end)])
         u_mid = interpolate(dp.primal.times, dp.primal.states, t_in)[1][0]
-        A = jacobian(dp.sys, u_mid, t_mid).T
-        phi.append(np.linalg.solve(eye - 0.5 * k * A, phi[-1] + 0.5 * k * (A @ phi[-1])))
+        yield 0.5 * k * jacobian(dp.sys, u_mid, t_mid).T
+
+
+def _dual_reference(dp, step):
+    """solve_dual's states below BLOCK_DUAL_MIN: each step's propagator
+    (I - hA)^-1 (I + hA) by its own solve, applied to the previous state."""
+    eye = np.eye(len(dp.psi))
+    phi = [dp.psi]
+    for hA in _midpoint_matrices(dp, step):
+        phi.append(np.linalg.solve(eye - hA, eye + hA) @ phi[-1])
     return np.array(phi[::-1])
+
+
+def _dual_direct(dp, step):
+    """Each midpoint step solved for the state, (I - hA) phi_j = phi_{j-1} + hA phi_{j-1}."""
+    eye = np.eye(len(dp.psi))
+    phi = [dp.psi]
+    for hA in _midpoint_matrices(dp, step):
+        phi.append(np.linalg.solve(eye - hA, phi[-1] + hA @ phi[-1]))
+    return np.array(phi[::-1])
+
+
+def _simple_dual_problem():
+    sys = make_simple_model(4.0)
+    U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
+    return DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]))
+
+
+def _reduced_lattice_dual_problem():
+    # p=2: 20 components, 4 of them frozen with zero Jacobian rows
+    sys = make_lattice(LatticeSpec(p=2))
+    frozen = [c for pair in sys.oscillator_pairs for c in pair]
+    reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
+    U = solve_cg1(reduced, TimePartition.uniform(0, 25.0, 0.01))
+    return DualProblem(primal=U, sys=reduced, psi=np.cos(np.arange(1.0, sys.dimension + 1.0)))
 
 
 @pytest.mark.parametrize("step", [0.01, 0.007])
 def test_dual_matches_per_step_reference_exactly(step):
     # more than one interpolation block, and a dual partition that does and
-    # does not coincide with the primal one
-    sys = make_simple_model(4.0)
-    U = solve_cg1(sys, TimePartition.uniform(0, 25.0, 0.01))
-    dp = DualProblem(primal=U, sys=sys, psi=np.array([1.0, 0.5, 0.0, -0.25]))
+    # does not coincide with the primal one; a stacked solve rounds as the
+    # per-matrix solves do
+    dp = _simple_dual_problem()
     np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
+
+
+@pytest.mark.parametrize("build", [_simple_dual_problem, _reduced_lattice_dual_problem])
+def test_dual_propagators_agree_with_direct_step_solves(build):
+    # forming the propagator rounds differently from solving each step for the
+    # state, by a few ulps per step over 2,500 steps
+    dp = build()
+    assert dp.sys.dimension < BLOCK_DUAL_MIN
+    direct = _dual_direct(dp, 0.01)
+    assert np.max(np.abs(solve_dual(dp, 0.01).states - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_small_dual_solves_once_per_block(monkeypatch):
+    dp = _simple_dual_problem()
+    ndims = []
+    solve = np.linalg.solve
+
+    def recorded_solve(a, b):
+        ndims.append(np.ndim(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    phi = solve_dual(dp, 0.01)
+    steps = len(phi.times) - 1
+    assert steps == 2500
+    assert ndims == [3] * math.ceil(steps / INTERPOLATE_BLOCK)
 
 
 def test_dual_solves_only_the_active_block(monkeypatch):
@@ -341,3 +399,10 @@ def test_dual_problem_validation():
             DualProblem(primal=traj, sys=sys, psi=np.array([bad, 0.0]))
     with pytest.raises(ValueError):
         DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0, 0.0]))
+    sys3 = DynamicalSystem(3, lambda u, t: -u, np.ones(3))
+    with pytest.raises(ValueError, match="system dimension 3 does not match the primal trajectory's"):
+        DualProblem(primal=traj, sys=sys3, psi=np.array([1.0, 0.0]))
+    dp = DualProblem(primal=traj, sys=sys, psi=np.array([1.0, 0.0]))
+    for bad in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dual step must be positive and finite"):
+            solve_dual(dp, bad)

@@ -30,7 +30,7 @@ PINNED = {
     "simple": {
         "csv": "e92ba2054264a785153ab33faf0825c0723924b00187752f4ed8314b663166da",
         "model.txt": "56883f10c1df2e2244b171404edaed8fefe584ab257e9a938e4673dce6db3845",
-        "estimate.txt": "0e6ba91d76de22092a7383820e2001e2abc5f1b3c68e878f5a20d8d72797c201",
+        "estimate.txt": "9df3f02392ce09316768f42cd9d09ffb4134ea267d126962788a49fd8e4ffe0b",
         "controls.txt": "6a194afaa809848723c7525cd81c827d3979094ca8bbc6f90d5d595e56e0eda6",
     },
     "lattice": {

@@ -247,6 +247,21 @@ def test_uniform_partition_counts():
         TimePartition(np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0.0, 1.0, np.inf), "step"),
+        ((0.0, 1.0, np.nan), "step"),
+        ((0.0, np.inf, 0.1), "t_end"),
+        ((-np.inf, 0.0, 0.1), "t_start"),
+        ((np.nan, 1.0, 0.1), "t_start"),
+    ],
+)
+def test_uniform_partition_rejects_non_finite_arguments(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TimePartition.uniform(*args)
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError, match="positive"):
         SolverOptions(0.0)

@@ -45,3 +45,6 @@ def test_traced_pipeline_records_every_wrapped_layer(tracing, tmp_path):
     kinds = {sp.attrs["kind"] for sp in tracer.spans if sp.name == "integrator.solve_cg1"}
     assert kinds == {"resolved", "reduced"}
     assert tracing.rhs_calls(tracer.spans) > 0
+    # the dual evaluates each step's Jacobian through the name the tracer wraps
+    (dual,) = [sp for sp in tracer.spans if sp.name == "dual.solve_dual"]
+    assert dual.jacobian_calls == dual.attrs["steps"] == 10
