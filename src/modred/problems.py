@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import Array, DynamicalSystem
+from .system import RHS_BLOCK, Array, DynamicalSystem
 
 
 def make_simple_model(kappa: float) -> DynamicalSystem:
@@ -23,13 +23,16 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
         f(u) = (u3, u4, -u1 + u2**2 / 2, -kappa * u2),
 
     started from (0, 1, 0, 0).  The stiff oscillator u2 and its velocity u4
-    are declared as an oscillator pair for the inactivation rule.
+    are declared as an oscillator pair for the inactivation rule.  The rhs
+    takes one state or a stack of them.
     """
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
 
     def rhs(u, t):
-        return np.array([u[2], u[3], -u[0] + 0.5 * u[1] * u[1], -kappa * u[1]])
+        # Python floats for one state, columns for a stack: the same roundings.
+        u1, u2, u3, u4 = u.tolist() if u.ndim == 1 else u.T
+        return np.array([u3, u4, -u1 + 0.5 * u2 * u2, -kappa * u2]).T
 
     def jac(u, t):
         return np.array(
@@ -47,6 +50,7 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
         initial_value=np.array([0.0, 1.0, 0.0, 0.0]),
         jacobian=jac,
         oscillator_pairs=((1, 3),),
+        vectorized=True,
     )
 
 
@@ -166,6 +170,8 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
 
     Both kernels scatter with one np.bincount, which adds in input order from
     0.0: bit for bit the sums np.add.at makes over the a-ends, then the b-ends.
+    The rhs takes one state or a stack of them; row r of a stack scatters into
+    its own bins r * n_pos + c, in the order of a single state.
     """
     positions, ia, ib, rest = _lattice_geometry(spec)
     n_masses = spec.n_large + spec.n_small
@@ -184,8 +190,14 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     cols = 2 * block_cols[:, :, None, None] + coord[None, None, None, :]
     jac_index = (rows * (2 * n_pos) + cols).ravel()
     block_sign = np.array([-1.0, 1.0, 1.0, -1.0])[None, :, None, None]
-    # Flat force index of each spring end's (x, y), all a-ends then all b-ends.
+    # Flat force index of each spring end's (x, y), all a-ends then all b-ends,
+    # and the same per row of a stack of up to RHS_BLOCK states.
     force_index = (2 * np.concatenate([ia, ib])[:, None] + coord).ravel()
+
+    def stack_index(n_rows):
+        return force_index + n_pos * np.arange(n_rows)[:, None]
+
+    block_index = stack_index(RHS_BLOCK)
     coord_masses = np.repeat(masses, 2)
     velocity_diagonal = (np.arange(n_pos), n_pos + np.arange(n_pos))
 
@@ -195,15 +207,22 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     u0 = np.concatenate([u0_pos.ravel(), np.zeros(n_pos)])
 
     def springs(u):
-        pos = u[:n_pos].reshape(n_masses, 2)
-        d = pos[ib] - pos[ia]
-        return d, np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm(d, axis=1)
+        """Separations (..., springs, 2) and lengths of one state or a stack."""
+        pos = u[..., :n_pos].reshape(*u.shape[:-1], n_masses, 2)
+        d = np.take(pos, ib, axis=-2) - np.take(pos, ia, axis=-2)
+        d0, d1 = d[..., 0], d[..., 1]
+        return d, np.sqrt(d0 * d0 + d1 * d1)  # np.linalg.norm(d, axis=-1)
 
     def rhs(u, t):
-        d, length = springs(u)
-        pull = (kappa * (length - rest) / length)[:, None] * d
-        force = np.bincount(force_index, np.concatenate([pull, -pull]).ravel(), n_pos)
-        return np.concatenate([u[n_pos:], force / coord_masses])
+        stack = u.reshape(-1, 2 * n_pos)
+        n_rows = len(stack)
+        d, length = springs(stack)
+        weights = np.empty((n_rows, 2, *d.shape[1:]))  # per row pull, then -pull
+        np.multiply((kappa * (length - rest) / length)[..., None], d, out=weights[:, 0])
+        np.negative(weights[:, 0], out=weights[:, 1])
+        index = block_index[:n_rows] if n_rows <= RHS_BLOCK else stack_index(n_rows)
+        force = np.bincount(index.ravel(), weights.ravel(), n_rows * n_pos).reshape(n_rows, n_pos)
+        return np.concatenate([stack[:, n_pos:], force / coord_masses], axis=1).reshape(u.shape)
 
     def jac(u, t):
         d, length = springs(u)
@@ -226,6 +245,7 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
         initial_value=u0,
         jacobian=jac,
         oscillator_pairs=pairs,
+        vectorized=True,
     )
 
 

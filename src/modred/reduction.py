@@ -227,7 +227,8 @@ def fit_constant_subgrid(
 
 
 def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSystem:
-    """The reduced system: rhs f + g with inactive components frozen.
+    """The reduced system: rhs f + g with inactive components frozen, taking
+    stacks of states when the base system does.
 
     Its initial value is the model's averaged start state, and its Jacobian
     (analytic when the base system has one) carries zero rows for frozen
@@ -235,15 +236,18 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
     """
     if model.dimension != sys.dimension:
         raise ValueError("model dimension does not match the system")
-    frozen = ~model.active
+    # Column indices: writing them through out.T costs a single state no more
+    # than a boolean mask on out, and serves a stack as well.
+    frozen = np.flatnonzero(~model.active)
     constants = model.constants
     base_rhs = sys.rhs
     n = sys.dimension
 
     def reduced_rhs(u, t):
-        # Checked before adding g, which would broadcast a wrong shape.
-        out = rhs_value(base_rhs(u, t), n) + constants
-        out[frozen] = 0.0
+        # Checked before adding g, which would broadcast a wrong shape; a
+        # stack of states (rows, n) gives a stack of values.
+        out = rhs_value(base_rhs(u, t), *u.shape[:-1], n) + constants
+        out.T[frozen] = 0.0
         return out
 
     reduced_jac = None
@@ -261,6 +265,7 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
         initial_value=model.initial_value,
         jacobian=reduced_jac,
         oscillator_pairs=sys.oscillator_pairs,
+        vectorized=sys.vectorized,
     )
 
 

@@ -21,6 +21,10 @@ FD_EPS_REL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 #: bounds the size of the sample arrays, and so the peak memory, on long runs.
 INTERPOLATE_BLOCK = 1024
 
+#: States per rhs call when evaluate_rhs hands a vectorized system a stack:
+#: bounds the temporaries of one call, and so the peak memory.
+RHS_BLOCK = 64
+
 
 class EvaluationError(RuntimeError):
     """A right-hand side or Jacobian evaluation produced a non-finite value."""
@@ -43,6 +47,9 @@ class DynamicalSystem:
     entry (i, j) = d f_i / d u_j; otherwise central finite differences are used.
     ``oscillator_pairs`` lists (position, velocity) index pairs of fast
     oscillator components, used by the model-reduction inactivation rule.
+    A ``vectorized`` system's rhs also takes a stack: states of shape
+    (rows, dimension) at times of shape (rows,), returning (rows, dimension)
+    with every row bit for bit its single-state value.
     """
 
     dimension: int
@@ -50,6 +57,7 @@ class DynamicalSystem:
     initial_value: Array
     jacobian: Callable[[Array, float], Array] | None = None
     oscillator_pairs: tuple[tuple[int, int], ...] = ()
+    vectorized: bool = False
 
     def __post_init__(self):
         # Checked before the pairs are iterated: a call written for the old
@@ -63,6 +71,8 @@ class DynamicalSystem:
                 f"jacobian must be callable or None, got {self.jacobian!r}; "
                 "DynamicalSystem takes no final time, the solve sets the span"
             )
+        if not isinstance(self.vectorized, bool):
+            raise ValueError(f"vectorized must be a bool, got {self.vectorized!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         u0 = frozen_array(self.initial_value)
@@ -78,29 +88,36 @@ class DynamicalSystem:
                 raise ValueError(f"oscillator pair ({i}, {j}) out of range")
 
 
-def rhs_value(f, dimension: int) -> Array:
-    """An rhs result as a float vector, or ValueError when its shape is not
-    (dimension,)."""
+def rhs_value(f, *shape: int) -> Array:
+    """An rhs result as a float array, or ValueError when its shape is not
+    ``shape``: (dimension,) for one state, (rows, dimension) for a stack."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (dimension,):
-        raise ValueError(f"rhs returned shape {f.shape}, expected ({dimension},)")
+    if f.shape != shape:
+        raise ValueError(f"rhs returned shape {f.shape}, expected {shape}")
     return f
 
 
 def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     """f(u_i, t_i) for the rows u_i of ``states`` at the ``times`` t_i, as a
-    (rows, dimension) array.  Each value passes the shape check of rhs_value,
-    and a non-finite one raises EvaluationError naming the first bad t and
-    component."""
+    (rows, dimension) array.  A vectorized system's rhs is called once per
+    block of RHS_BLOCK rows, any other's once per row.  Each result passes the
+    shape check of rhs_value, and a non-finite value raises EvaluationError
+    naming the first bad t and component."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, sys.dimension))
     if times.ndim != 1 or np.shape(states) != out.shape:
         raise ValueError(f"states of shape {np.shape(states)} for times of shape {times.shape}")
     rhs, n = sys.rhs, sys.dimension
+    states = np.asarray(states, dtype=float)
     # A non-finite value raises EvaluationError below; numpy's warnings would only repeat that.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (u, t) in enumerate(zip(np.asarray(states, dtype=float), times.tolist())):
-            out[i] = rhs_value(rhs(u, t), n)
+        if sys.vectorized:
+            for lo in range(0, len(times), RHS_BLOCK):
+                hi = min(lo + RHS_BLOCK, len(times))
+                out[lo:hi] = rhs_value(rhs(states[lo:hi], times[lo:hi]), hi - lo, n)
+        else:
+            for i, (u, t) in enumerate(zip(states, times.tolist())):
+                out[i] = rhs_value(rhs(u, t), n)
     bad = ~np.isfinite(out)
     if bad.any():
         row, comp = (int(k[0]) for k in np.nonzero(bad))

@@ -1,6 +1,7 @@
 """Package hygiene: modules share only public names, every name that
 ``modred.__all__`` exports exists, rhs values are taken through the
-checked kernels only, and no module scatters with np.add.at."""
+checked kernels only, which alone decide how they are batched, and no module
+scatters with np.add.at."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,13 @@ def test_every_exported_name_resolves():
 # whole of system.py may.  Everything else goes through ``evaluate_rhs``.
 RHS_READERS = {("integrator.py", "solve_cg1"), ("reduction.py", "assemble_reduced")}
 
+# Only ``evaluate_rhs`` decides whether rows go to the rhs one by one or in
+# stacks; the reduced system merely passes its base system's flag on.
+VECTORIZED_READERS = {("reduction.py", "assemble_reduced")}
 
-def test_only_the_kernels_read_rhs():
+
+def _attribute_reads(attr, allowed):
+    """Reads of ``.attr`` outside system.py and the allowed pairs."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "system.py":
@@ -47,10 +53,18 @@ def test_only_the_kernels_read_rhs():
                 f"{path.name}:{node.lineno} in {owner}"
                 for node in ast.walk(top)
                 if isinstance(node, ast.Attribute)
-                and node.attr == "rhs"
-                and (path.name, owner) not in RHS_READERS
+                and node.attr == attr
+                and (path.name, owner) not in allowed
             ]
-    assert offenders == []
+    return offenders
+
+
+def test_only_the_kernels_read_rhs():
+    assert _attribute_reads("rhs", RHS_READERS) == []
+
+
+def test_only_the_kernels_read_vectorized():
+    assert _attribute_reads("vectorized", VECTORIZED_READERS) == []
 
 
 def test_no_module_scatters_with_add_at():

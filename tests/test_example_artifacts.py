@@ -6,12 +6,13 @@ values.  A refactor that is meant to leave the numerics alone must keep these
 hashes.  The `.gnuplot` script is left out because it embeds the output path.
 
 The same runs count every rhs and Jacobian evaluation of the problem system
-(the reduced system calls through to it).  The counts are deterministic, so
-they gate work: a change may lower the rhs count, never raise it.  The
-Jacobian count is exact: one per dual step (1,000 simple, 400 lattice) plus
-the chord-Newton Jacobian of each of the six solves per pipeline (the fit
-window, the reduced solve and four control-point windows), so a hidden
-Jacobian refresh fails the gate.
+(the reduced system calls through to it).  An rhs call on a stack of states
+counts one evaluation per row, so batching rows into fewer calls leaves the
+count as it is.  The counts are deterministic, so they gate work: a change
+may lower the rhs count, never raise it.  The Jacobian count is exact: one
+per dual step (1,000 simple, 400 lattice) plus the chord-Newton Jacobian of
+each of the six solves per pipeline (the fit window, the reduced solve and
+four control-point windows), so a hidden Jacobian refresh fails the gate.
 
 The hashes were pinned on x86_64 Linux with Python 3.11.7, numpy 2.4.6 and
 OpenBLAS 0.3.31 (scipy-openblas); another platform or BLAS may round
@@ -54,7 +55,7 @@ def _counting_build_system(build_system, counts):
         rhs, jac = system.rhs, system.jacobian
 
         def counted_rhs(u, t):
-            counts["rhs"] += 1
+            counts["rhs"] += len(u) if u.ndim == 2 else 1
             return rhs(u, t)
 
         def counted_jacobian(u, t):

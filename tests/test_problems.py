@@ -8,9 +8,11 @@ from modred import (
     DualProblem,
     EvaluationError,
     LatticeSpec,
+    SubgridModel,
     TimePartition,
     Trajectory,
     analytic_reduced_simple,
+    assemble_reduced,
     diameter,
     evaluate_rhs,
     jacobian,
@@ -22,6 +24,7 @@ from modred import (
     solve_dual,
 )
 from modred.problems import _lattice_geometry
+from modred.system import RHS_BLOCK
 
 
 def test_simple_model_rhs_and_pairs():
@@ -286,6 +289,54 @@ def test_lattice_rhs_neither_mutates_nor_shares_its_state(rng):
     f = sys.rhs(u, 0.0)
     np.testing.assert_array_equal(u, snapshot)
     assert not np.shares_memory(f, u)
+
+
+def _frozen_pairs(sys):
+    """sys reduced with its oscillator pairs frozen and g = 0.25 elsewhere."""
+    active = np.ones(sys.dimension, dtype=bool)
+    for pos, vel in sys.oscillator_pairs:
+        active[[pos, vel]] = False
+    zeros = np.zeros(sys.dimension)
+    model = SubgridModel(
+        constants=np.where(active, 0.25, 0.0),
+        active=active,
+        tau=1.0,
+        resolved_step=0.01,
+        oscillation_amplitude=zeros,
+        frozen_deviation=zeros,
+        initial_value=sys.initial_value,
+    )
+    return assemble_reduced(sys, model)
+
+
+@pytest.mark.parametrize("rows", [1, RHS_BLOCK, RHS_BLOCK + 1])
+@pytest.mark.parametrize("reduce", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_simple_model(1e18),
+        lambda: make_lattice(LatticeSpec(p=2)),
+        lambda: make_lattice(LatticeSpec(p=6)),
+    ],
+    ids=["simple", "lattice-p2", "lattice-p6"],
+)
+def test_stacked_rhs_rows_equal_single_state_calls(build, reduce, rows, rng):
+    sys = _frozen_pairs(build()) if reduce else build()
+    assert sys.vectorized
+    states = sys.initial_value + rng.normal(scale=1e-2, size=(rows, sys.dimension))
+    times = np.linspace(0.0, 1.0, rows)
+    stacked = evaluate_rhs(sys, states, times)
+    per_row = evaluate_rhs(dataclasses.replace(sys, vectorized=False), states, times)
+    # int64 views compare bits, so -0.0 and 0.0 differ as well
+    np.testing.assert_array_equal(stacked.view(np.int64), per_row.view(np.int64))
+
+
+def test_lattice_rhs_takes_a_stack_longer_than_a_block(rng):
+    sys = make_lattice(LatticeSpec(p=3))
+    states = sys.initial_value + rng.normal(scale=1e-3, size=(2 * RHS_BLOCK + 1, sys.dimension))
+    stacked = sys.rhs(states, np.zeros(len(states)))
+    per_row = np.array([sys.rhs(u, 0.0) for u in states])
+    np.testing.assert_array_equal(stacked.view(np.int64), per_row.view(np.int64))
 
 
 def _collapsed_lattice():

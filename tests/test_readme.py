@@ -1,4 +1,5 @@
-"""The library quickstart in README.md runs as written."""
+"""The Python examples in README.md run as written: the library quickstart,
+then the vectorized problem file."""
 
 import contextlib
 import io
@@ -6,14 +7,37 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from modred import evaluate_rhs
+from modred.system import RHS_BLOCK
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_quickstart_prints_a_finite_positive_bound():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
-    assert len(blocks) == 1
+@pytest.fixture(scope="module")
+def blocks():
+    found = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(found) == 2
+    return found
+
+
+def test_readme_quickstart_prints_a_finite_positive_bound(blocks):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     bound = float(out.getvalue().splitlines()[-1])
     assert math.isfinite(bound) and bound > 0
+
+
+def test_readme_vectorized_problem_file_keeps_the_stack_contract(blocks):
+    namespace = {}
+    exec(compile(blocks[1], str(README), "exec"), namespace)
+    sys = namespace["make_system"]()
+    assert sys.vectorized
+    rows = RHS_BLOCK + 1
+    states = np.random.default_rng(0).normal(size=(rows, sys.dimension))
+    times = np.linspace(0.0, 1.0, rows)
+    per_row = np.array([sys.rhs(u, t) for u, t in zip(states, times.tolist())])
+    np.testing.assert_array_equal(evaluate_rhs(sys, states, times).view(np.int64), per_row.view(np.int64))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from modred import (
     jacobian,
     make_simple_model,
 )
+from modred.system import RHS_BLOCK
 
 
 def test_simple_model_rhs_at_initial_value():
@@ -81,6 +83,37 @@ def test_batch_rhs_rejects_mismatched_rows():
         evaluate_rhs(sys, np.zeros((3, 2)), [0.0, 1.0])
     with pytest.raises(ValueError, match=r"states of shape \(2,\) for times of shape \(1,\)"):
         evaluate_rhs(sys, np.zeros(2), [0.0])
+
+
+def test_stacked_rhs_names_the_bad_row_of_a_later_block():
+    shapes = []
+
+    def rhs(u, t):
+        shapes.append(np.shape(u))
+        return 1.0 / u
+
+    sys = DynamicalSystem(2, rhs, np.ones(2), vectorized=True)
+    states = np.ones((RHS_BLOCK + 5, 2))
+    states[RHS_BLOCK + 3, 1] = 0.0
+    times = 0.125 * np.arange(len(states))
+    bad_t = float(times[RHS_BLOCK + 3])
+    with pytest.raises(EvaluationError, match=re.escape(f"component 1 is non-finite at t={bad_t!r} ")):
+        evaluate_rhs(sys, states, times)
+    assert shapes == [(RHS_BLOCK, 2), (5, 2)]
+
+
+def test_stacked_rhs_of_the_wrong_shape_names_both_shapes():
+    sys = DynamicalSystem(2, lambda u, t: u[..., :1], np.ones(2), vectorized=True)
+    with pytest.raises(ValueError, match=r"rhs returned shape \(3, 1\), expected \(3, 2\)"):
+        evaluate_rhs(sys, np.ones((3, 2)), np.zeros(3))
+
+
+def test_wrapping_rhs_by_replace_keeps_the_stack_contract():
+    # the work-count gate and the benchmark's tracer wrap rhs this way
+    sys = make_simple_model(1e18)
+    wrapped = dataclasses.replace(sys, rhs=lambda u, t: sys.rhs(u, t))
+    assert sys.vectorized and wrapped.vectorized
+    assert not DynamicalSystem(2, _rhs, np.zeros(2)).vectorized
 
 
 def test_nonfinite_analytic_jacobian_reports_entry():
@@ -205,9 +238,10 @@ def _rhs(u, t):
         ((2, _rhs, np.zeros(2), 1.0, 5.0), {}, "jacobian must be callable or None.*takes no final time"),
         ((2, _rhs, np.zeros(2), 1.0, lambda u, t: -np.eye(2)), {}, "takes no final time"),
         ((2, _rhs, np.zeros(2)), {"jacobian": "analytic"}, "jacobian must be callable or None"),
+        ((2, _rhs, np.zeros(2)), {"vectorized": 1}, "vectorized must be a bool, got 1"),
     ],
     ids=["float-dimension", "rhs-not-callable", "final-time-positional", "old-order-5-args",
-         "old-order-with-jacobian", "jacobian-not-callable"],
+         "old-order-with-jacobian", "jacobian-not-callable", "vectorized-not-bool"],
 )
 def test_construction_rejects_a_malformed_or_old_style_call(args, kwargs, match):
     # fails at construction, not with a TypeError inside a later solve
@@ -218,7 +252,7 @@ def test_construction_rejects_a_malformed_or_old_style_call(args, kwargs, match)
 def test_system_takes_no_final_time():
     # the solve's partition sets the span; neither the system nor a spec has one
     names = [f.name for f in dataclasses.fields(DynamicalSystem)]
-    assert names == ["dimension", "rhs", "initial_value", "jacobian", "oscillator_pairs"]
+    assert names == ["dimension", "rhs", "initial_value", "jacobian", "oscillator_pairs", "vectorized"]
     assert "T" not in [f.name for f in dataclasses.fields(LatticeSpec)]
     with pytest.raises(TypeError, match="final_time"):
         DynamicalSystem(2, _rhs, np.zeros(2), final_time=1.0)
