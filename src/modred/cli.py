@@ -12,7 +12,7 @@ command line with `--key value`.  Outputs are deterministic: identical config
 and build give byte-identical files (floats are printed with 17 significant
 digits, which round-trips binary64 exactly).
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .system import DynamicalSystem, Trajectory
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
 
+#: Lattice CSV extras by config name.
+OBSERVABLES = {"diameter": diameter, "d_small": small_mass_distance}
+
 
 @dataclass
 class RunConfig:
@@ -88,7 +91,7 @@ class RunConfig:
         for name in self.observable_names():
             if self.problem != "lattice":
                 raise ValueError(f"observable {name!r} requires the lattice problem")
-            if name not in ("diameter", "d_small"):
+            if name not in OBSERVABLES:
                 raise ValueError(f"unknown observable {name!r}")
 
     def observable_names(self) -> list[str]:
@@ -117,7 +120,7 @@ def _coerce(key: str, raw: str):
 def parse_config(path: str, overrides: list[tuple[str, str]] = ()) -> RunConfig:
     """Read a flat key = value config file and apply command-line overrides."""
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig) if not f.name.startswith("_")}
+    known = {f.name for f in fields(RunConfig)}
     entries: list[tuple[str, str]] = []
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -189,8 +192,7 @@ def parse_psi(raw: str, dimension: int) -> np.ndarray:
 
 
 def _observable_columns(cfg: RunConfig, spec: LatticeSpec | None, traj: Trajectory):
-    funcs = {"diameter": diameter, "d_small": small_mass_distance}
-    return [(name, funcs[name](traj.states, spec)) for name in cfg.observable_names()]
+    return [(name, OBSERVABLES[name](traj.states, spec)) for name in cfg.observable_names()]
 
 
 def write_csv(path: str, traj: Trajectory, extra_columns=()) -> None:
@@ -277,25 +279,20 @@ def cmd_estimate(cfg: RunConfig) -> int:
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
     model = parse_model_report(model_path.read_text())
-    # Control points resolve with the model's window; a config naming another is an error.
-    for key, value, fitted in (
-        ("tau", cfg.tau, model.tau),
-        ("resolved_step", cfg.resolved_step, model.resolved_step),
-    ):
-        if value != fitted:
-            raise ValueError(
-                f"config {key} = {value!r} differs from the fitted model's {key} = {fitted!r} "
-                f"in {model_path}; estimate with the {key} that `modred reduce` used"
-            )
-    reduced = assemble_reduced(system, model)
     traj = read_csv(str(csv_path), system.dimension)
-    if cfg.T != traj.times[-1]:
-        # Control points and the dual must cover the reduced solve that exists.
-        raise ValueError(
-            f"config T = {cfg.T!r} differs from the final time {float(traj.times[-1])!r} "
-            f"of {csv_path}; estimate with the T that `modred reduce` used"
-        )
+    # Control points take the fit's window, and they and the dual cover the solve on disk.
+    for key, value, found, source, path in (
+        ("tau", cfg.tau, model.tau, "the model's tau =", model_path),
+        ("resolved_step", cfg.resolved_step, model.resolved_step, "the model's resolved_step =", model_path),
+        ("T", cfg.T, float(traj.times[-1]), "the final time", csv_path),
+    ):
+        if value != found:
+            raise ValueError(
+                f"config {key} = {value!r} differs from {source} {found!r} in {path}; "
+                f"estimate with the {key} that `modred reduce` used"
+            )
 
+    reduced = assemble_reduced(system, model)
     psi = parse_psi(cfg.psi, system.dimension)
     dp = DualProblem(primal=traj, sys=reduced, psi=psi)
     phi = solve_dual(dp, cfg.reduced_step)
@@ -397,6 +394,10 @@ def main(argv=None) -> int:
         return handler[args.command](cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=_sys.stderr)
+        return 1
+    except MemoryError as err:
+        hint = "lower T or raise step, reduced_step or resolved_step"
+        print(f"error: out of memory: {err}; {hint}", file=_sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=_sys.stderr)

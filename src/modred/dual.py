@@ -91,26 +91,22 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
             hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
             t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
             _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
+            half_k = 0.5 * np.diff(s_nodes[lo - 1 : hi])
             if n < BLOCK_DUAL_MIN:
                 hA = np.empty((hi - lo, n, n))
                 for i, (u, t) in enumerate(zip(u_mids, t_mids)):
                     hA[i] = jacobian(dp.sys, u, float(t)).T
-                hA *= 0.5 * np.diff(s_nodes[lo - 1 : hi])[:, None, None]
+                hA *= half_k[:, None, None]
                 for j, P in zip(range(lo, hi), np.linalg.solve(eye - hA, eye + hA)):
                     phi[j] = P @ phi[j - 1]
                 continue
-            for j, t_mid, u_mid in zip(range(lo, hi), t_mids, u_mids):
-                k = float(s_nodes[j] - s_nodes[j - 1])
+            for j, h, t_mid, u_mid in zip(range(lo, hi), half_k.tolist(), t_mids, u_mids):
                 A = jacobian(dp.sys, u_mid, float(t_mid)).T
-                rhs = phi[j - 1] + 0.5 * k * (A @ phi[j - 1])
-                live = A.any(axis=0)
-                if live.all():
-                    phi[j] = np.linalg.solve(eye - 0.5 * k * A, rhs)
-                    continue
+                rhs = phi[j - 1] + h * (A @ phi[j - 1])
                 # Zero rows of J (frozen components) decouple: solve the live block alone.
-                a = np.flatnonzero(live)
-                x = np.linalg.solve(eye[: len(a), : len(a)] - 0.5 * k * A[np.ix_(a, a)], rhs[a])
-                phi[j] = rhs + 0.5 * k * (A[:, a] @ x)
+                a = np.flatnonzero(A.any(axis=0))
+                x = np.linalg.solve(eye[: len(a), : len(a)] - h * A[np.ix_(a, a)], rhs[a])
+                phi[j] = rhs + h * (A[:, a] @ x)
                 phi[j, a] = x
 
     times = (t_end - s_nodes)[::-1].copy()

@@ -27,6 +27,7 @@ from .system import (
     interpolate,
     jacobian,
     rhs_value,
+    row_norms,
 )
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
@@ -184,7 +185,6 @@ def residual_samples(traj: Trajectory, sys: DynamicalSystem) -> Array:
         for offset in (-_GAUSS_OFFSET, _GAUSS_OFFSET):
             t_s = left[b] + 0.5 * k[b] + offset * k[b]
             _, u_s = interpolate(times, traj.states, t_s)
-            # One dot per row, as np.linalg.norm(r) takes it: a vectorized norm rounds differently.
-            norms = [math.sqrt(r.dot(r)) for r in slopes[b] - evaluate_rhs(sys, u_s, t_s)]
+            norms = row_norms(slopes[b] - evaluate_rhs(sys, u_s, t_s))
             worst[b] = np.maximum(worst[b], k[b] * norms)
     return worst

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import RHS_BLOCK, Array, DynamicalSystem
+from .system import RHS_BLOCK, Array, DynamicalSystem, row_norms
 
 
 def make_simple_model(kappa: float) -> DynamicalSystem:
@@ -255,10 +255,7 @@ def _distance(states: Array, spec: LatticeSpec, a: int, b: int) -> Array:
     n = 4 * (spec.n_large + spec.n_small)
     if states.ndim != 2 or states.shape[1] != n:
         raise ValueError(f"states of shape {states.shape}: lattice p={spec.p} has {n} components")
-    d = (states[:, 2 * b : 2 * b + 2] - states[:, 2 * a : 2 * a + 2])[:, None, :]
-    # matmul takes the dot product that np.linalg.norm takes of one row; a sum
-    # over the row rounds differently.
-    return np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+    return row_norms(states[:, 2 * b : 2 * b + 2] - states[:, 2 * a : 2 * a + 2])
 
 
 def diameter(states: Array, spec: LatticeSpec) -> Array:

@@ -97,6 +97,11 @@ def rhs_value(f, *shape: int) -> Array:
     return f
 
 
+def row_norms(rows: Array) -> Array:
+    """Norm of each row, bit for bit np.linalg.norm(row): one dot per row; a sum rounds otherwise."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     """f(u_i, t_i) for the rows u_i of ``states`` at the ``times`` t_i, as a
     (rows, dimension) array.  A vectorized system's rhs is called once per

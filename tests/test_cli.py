@@ -295,6 +295,26 @@ def test_exit_codes(tmp_path):
     assert run_cli("solve", good, "--step", "0.5") == 0
 
 
+def test_out_of_memory_is_a_config_error_naming_T_and_the_steps(tmp_path, capsys, monkeypatch):
+    # the simple example's step = 2e-10 over T = 100 asks for 5e11 nodes; the
+    # partition is patched to fail as numpy does, so nothing is allocated
+    message = "Unable to allocate 3.64 TiB for an array with shape (500000000001,) and data type float64"
+
+    def uniform(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("modred.cli.TimePartition.uniform", uniform)
+    cfg = tmp_path / "s.cfg"
+    assert run_cli("example", "simple", "-o", cfg) == 0
+    capsys.readouterr()
+    assert run_cli("solve", cfg, "--output", tmp_path / "oom") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+    assert all(key in err for key in ("T", "step", "reduced_step", "resolved_step"))
+    assert not (tmp_path / "oom.csv").exists()
+
+
 def test_config_overrides_apply(tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg",

@@ -166,8 +166,8 @@ def test_dual_makes_no_rhs_calls(build):
     assert calls == 0
 
 
-def _midpoint_matrices(dp, step):
-    """hA = (k/2) J^T at each dual step's midpoint, by one single-time
+def _midpoint_jacobians(dp, step):
+    """(k/2, J^T) at each dual step's midpoint, by one single-time
     interpolation per step, the loop that the batched midpoint interpolation
     replaced."""
     t_start, t_end = dp.primal.span
@@ -177,7 +177,13 @@ def _midpoint_matrices(dp, step):
         t_mid = t_end - 0.5 * (float(s[j]) + float(s[j - 1]))
         t_in = np.array([min(max(t_mid, t_start), t_end)])
         u_mid = interpolate(dp.primal.times, dp.primal.states, t_in)[1][0]
-        yield 0.5 * k * jacobian(dp.sys, u_mid, t_mid).T
+        yield 0.5 * k, jacobian(dp.sys, u_mid, t_mid).T
+
+
+def _midpoint_matrices(dp, step):
+    """hA = (k/2) J^T at each dual step's midpoint."""
+    for h, A in _midpoint_jacobians(dp, step):
+        yield h * A
 
 
 def _dual_reference(dp, step):
@@ -272,6 +278,22 @@ def test_dual_solves_only_the_active_block(monkeypatch):
     assert sys.dimension >= BLOCK_DUAL_MIN
     assert sizes == {sys.dimension - len(frozen)}
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_all_live_large_dual_matches_the_dense_step_exactly():
+    # the unreduced lattice at p=3 has no zero Jacobian row, so each step's
+    # live block is the whole system: it must give the bits of the dense
+    # step solve it replaced, kept here as the reference
+    sys = make_lattice(LatticeSpec(p=3))
+    assert sys.dimension >= BLOCK_DUAL_MIN
+    U = Trajectory(np.linspace(0.0, 1.0, 20), np.tile(sys.initial_value, (20, 1)))
+    dp = DualProblem(primal=U, sys=sys, psi=np.cos(np.arange(1.0, sys.dimension + 1.0)))
+    eye = np.eye(sys.dimension)
+    phi = [dp.psi]
+    for h, A in _midpoint_jacobians(dp, 0.05):
+        assert A.any(axis=0).all()
+        phi.append(np.linalg.solve(eye - h * A, phi[-1] + h * (A @ phi[-1])))
+    np.testing.assert_array_equal(solve_dual(dp, 0.05).states, np.array(phi[::-1]))
 
 
 def test_estimate_zero_for_exactly_solved_linear_system():

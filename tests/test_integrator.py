@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from modred import (
     resolve_short,
     solve_cg1,
 )
+from modred.system import INTERPOLATE_BLOCK
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)  # Gauss points of the 2-point rule
 
@@ -208,18 +210,57 @@ def test_residual_hand_case_time_dependent_rhs():
     np.testing.assert_allclose(samples[0], GAUSS_HALF_WIDTH, rtol=1e-12)
 
 
-def test_residual_samples_equal_the_per_row_norm():
-    # the dot per row is the one np.linalg.norm takes, so no bit may move
-    sys = make_lattice(LatticeSpec(p=3, m=1e-4))
-    traj = solve_cg1(sys, TimePartition.uniform(0.0, 0.05, 0.001))
+def _residual_reference(traj, sys, norm):
+    """residual_samples over all intervals at once, with ``norm`` taken of each residual row."""
     times, k = traj.times, np.diff(traj.times)
     slopes = np.diff(traj.states, axis=0) / k[:, None]
     expected = np.zeros(len(k))
     for offset in (-GAUSS_HALF_WIDTH, GAUSS_HALF_WIDTH):
         t_s = times[:-1] + 0.5 * k + offset * k
         r = slopes - evaluate_rhs(sys, interpolate(times, traj.states, t_s)[1], t_s)
-        expected = np.maximum(expected, k * np.array([np.linalg.norm(row) for row in r]))
+        expected = np.maximum(expected, k * np.array([norm(row) for row in r]))
     assert np.all(expected > 0)
+    return expected
+
+
+def test_residual_samples_equal_the_per_row_norm():
+    # the dot per row is the one np.linalg.norm takes, so no bit may move
+    sys = make_lattice(LatticeSpec(p=3, m=1e-4))
+    traj = solve_cg1(sys, TimePartition.uniform(0.0, 0.05, 0.001))
+    expected = _residual_reference(traj, sys, np.linalg.norm)
+    np.testing.assert_array_equal(residual_samples(traj, sys), expected)
+
+
+def _reduced_lattice_run():
+    sys = make_lattice(LatticeSpec(p=3))
+    active = np.ones(sys.dimension, dtype=bool)
+    active[[c for pair in sys.oscillator_pairs for c in pair]] = False
+    model = SubgridModel(
+        constants=np.zeros(sys.dimension),
+        active=active,
+        tau=0.1,
+        resolved_step=2e-4,
+        oscillation_amplitude=np.zeros(sys.dimension),
+        frozen_deviation=np.zeros(sys.dimension),
+        initial_value=sys.initial_value,
+    )
+    reduced = assemble_reduced(sys, model)
+    return solve_cg1(reduced, TimePartition.uniform(0.0, 1.0, 0.01)), reduced
+
+
+def _long_simple_run():
+    sys = make_simple_model(4.0)
+    traj = solve_cg1(sys, TimePartition.uniform(0.0, 12.0, 0.01))
+    assert len(traj.times) - 1 > INTERPOLATE_BLOCK
+    return traj, sys
+
+
+@pytest.mark.parametrize("run", [_long_simple_run, _reduced_lattice_run])
+def test_residual_samples_equal_the_per_row_dot(run):
+    # the stacked row norms replaced one math.sqrt(r.dot(r)) per row, the
+    # reference kept here; across interpolation blocks no bit may move
+    traj, sys = run()
+    expected = _residual_reference(traj, sys, lambda r: math.sqrt(r.dot(r)))
     np.testing.assert_array_equal(residual_samples(traj, sys), expected)
 
 

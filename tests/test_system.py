@@ -15,7 +15,7 @@ from modred import (
     jacobian,
     make_simple_model,
 )
-from modred.system import RHS_BLOCK
+from modred.system import INTERPOLATE_BLOCK, RHS_BLOCK, row_norms
 
 
 def test_simple_model_rhs_at_initial_value():
@@ -263,3 +263,17 @@ def test_fd_jacobian_rejects_wrong_shape_rhs():
     sys = DynamicalSystem(2, lambda u, t: -u[0], np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match=r"rhs returned shape \(\), expected \(2,\)"):
         jacobian(sys, np.array([1.0, 2.0]), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 52, 244, 724])
+@pytest.mark.parametrize("rows", [1, INTERPOLATE_BLOCK + 1])
+def test_row_norms_equal_the_norm_of_each_row(n, rows, rng):
+    # one dot per row, as np.linalg.norm takes it of a 1-D row; a sum along
+    # each row would round differently
+    for scale in (1e-9, 1e-3, 1.0, 1e5):
+        x = scale * rng.standard_normal((rows, n))
+        x[1 : rows // 2] = 0.0  # zero rows between nonzero ones when there are several
+        norms = row_norms(x)
+        assert norms.shape == (rows,) and np.all(norms[[0, -1]] > 0)
+        np.testing.assert_array_equal(norms, [np.linalg.norm(row) for row in x])
+    np.testing.assert_array_equal(row_norms(np.zeros((1, n))), [0.0])
