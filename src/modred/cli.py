@@ -291,13 +291,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
                 f"config {key} = {value!r} differs from {source} {found!r} in {path}; "
                 f"estimate with the {key} that `modred reduce` used"
             )
+    control_times = _control_times(cfg)
 
     reduced = assemble_reduced(system, model)
     psi = parse_psi(cfg.psi, system.dimension)
     dp = DualProblem(primal=traj, sys=reduced, psi=psi)
     phi = solve_dual(dp, cfg.reduced_step)
 
-    points = validate_at_control_points(traj, system, model, _control_times(cfg))
+    points = validate_at_control_points(traj, system, model, control_times)
     est = error_estimate(traj, reduced, model, phi, points)
 
     est_path = f"{cfg.output}.estimate.txt"

@@ -156,25 +156,18 @@ def error_estimate(
     """Evaluate the a posteriori bound for the solve U of the reduced system
     that ``model`` assembles.
 
-    ``points`` carry the freshly measured variances from
+    ``points`` carry the deviations freshly measured by
     validate_at_control_points; when empty, the modeling term is zero and the
     estimate is flagged as unvalidated.
     """
     s0, s1 = stability_factors(phi)
     max_res = float(np.max(residual_samples(U, reduced)))
-    active = model.active
-    g = model.constants
-    if points:
-        max_dev = max(float(np.linalg.norm((g - p.gbar)[active])) for p in points)
-        validated = True
-    else:
-        max_dev = 0.0
-        validated = False
+    max_dev = max((p.deviation for p in points), default=0.0)
     disc = s1 * max_res
     mod = s0 * max_dev
     amp = np.abs(model.oscillation_amplitude)
     ratio = model.frozen_deviation / np.maximum(amp, 1e-300)
-    inactive_residual = float(np.max(ratio[~active], initial=0.0))
+    inactive_residual = float(np.max(ratio[~model.active], initial=0.0))
     return ErrorEstimate(
         S0=s0,
         S1=s1,
@@ -183,7 +176,7 @@ def error_estimate(
         disc_term=disc,
         model_term=mod,
         total=disc + mod,
-        validated=validated,
+        validated=bool(points),
         inactive_residual=inactive_residual,
     )
 
@@ -192,7 +185,8 @@ def error_estimate(
 class ControlPoint:
     """A fresh variance measurement at one time along the reduced solve.
 
-    ``deviation`` is the max over active components of |g_model - gbar|.
+    ``deviation`` is ||g_model - gbar|| over the active components, the
+    2-norm that the bound's model term S0 * max ||g - gbar|| takes.
     """
 
     time: float
@@ -231,7 +225,7 @@ def validate_at_control_points(
     for t_c, u_c in zip(times.tolist(), starts + delta):
         resolved = resolve_short(sys, u_c, t_c, model.tau, model.resolved_step)
         gbar = measure_gbar(resolved, sys, model.tau)
-        deviation = float(np.max(np.abs((model.constants - gbar)[model.active]), initial=0.0))
+        deviation = float(np.linalg.norm((model.constants - gbar)[model.active]))
         measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
     return tuple(measured)
 

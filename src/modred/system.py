@@ -137,7 +137,8 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
     """Jacobian of the right-hand side at (u, t).
 
     Uses the analytic Jacobian when present, otherwise central finite
-    differences with steps h_i = FD_EPS_REL * max(|u_i|, 1).  Either way a
+    differences with steps h_j = FD_EPS_REL * max(|u_j|, 1), whose 2N
+    perturbed states go through evaluate_rhs as one batch.  Either way a
     non-finite entry raises EvaluationError naming the first bad (i, j).
     """
     u = np.asarray(u, dtype=float)
@@ -151,14 +152,17 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
     else:
         kind = "finite-difference"
         n = sys.dimension
-        J = np.empty((n, n))
-        for j in range(n):
-            h = FD_EPS_REL * max(abs(u[j]), 1.0)
-            up = u.copy()
-            um = u.copy()
-            up[j] += h
-            um[j] -= h
-            J[:, j] = (rhs_value(sys.rhs(up, t), n) - rhs_value(sys.rhs(um, t), n)) / (2.0 * h)
+        h = FD_EPS_REL * np.maximum(np.abs(u), 1.0)
+        # Rows u + h_j e_j, then u - h_j e_j, taken as one batch.
+        states = np.tile(u, (2, n, 1))
+        np.fill_diagonal(states[0], u + h)
+        np.fill_diagonal(states[1], u - h)
+        f = evaluate_rhs(sys, states.reshape(2 * n, n), np.full(2 * n, float(t)))
+        # Finite values may still overflow in the difference; the check below
+        # names the entry.  Row-major like an analytic J: BLAS products with
+        # it round by its layout.
+        with np.errstate(over="ignore"):
+            J = np.ascontiguousarray(((f[:n] - f[n:]) / (2.0 * h)[:, None]).T)
     if not np.isfinite(J).all():
         i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(J)))
         raise EvaluationError(f"{kind} Jacobian entry ({i}, {j}) is non-finite at t={t!r}")

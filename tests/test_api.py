@@ -1,7 +1,7 @@
 """Package hygiene: modules share only public names, every name that
 ``modred.__all__`` exports exists, rhs values are taken through the
-checked kernels only, which alone decide how they are batched, and no module
-scatters with np.add.at."""
+checked kernels only, which alone decide how they are batched and in what
+block size, and no module scatters with np.add.at."""
 
 import ast
 from pathlib import Path
@@ -32,21 +32,23 @@ def test_every_exported_name_resolves():
     assert len(set(modred.__all__)) == len(modred.__all__)
 
 
-# (module, top-level function) pairs that may read a system's ``.rhs``; the
-# whole of system.py may.  Everything else goes through ``evaluate_rhs``.
-RHS_READERS = {("integrator.py", "solve_cg1"), ("reduction.py", "assemble_reduced")}
+# The system's own checks and ``evaluate_rhs`` read its fields.
+KERNELS = {("system.py", "DynamicalSystem"), ("system.py", "evaluate_rhs")}
+
+# (module, top-level definition) pairs that may read a system's ``.rhs``.
+# Everything else, the finite-difference Jacobian included, goes through
+# ``evaluate_rhs``.
+RHS_READERS = KERNELS | {("integrator.py", "solve_cg1"), ("reduction.py", "assemble_reduced")}
 
 # Only ``evaluate_rhs`` decides whether rows go to the rhs one by one or in
 # stacks; the reduced system merely passes its base system's flag on.
-VECTORIZED_READERS = {("reduction.py", "assemble_reduced")}
+VECTORIZED_READERS = KERNELS | {("reduction.py", "assemble_reduced")}
 
 
 def _attribute_reads(attr, allowed):
-    """Reads of ``.attr`` outside system.py and the allowed pairs."""
+    """Reads of ``.attr`` outside the allowed pairs."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "system.py":
-            continue
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             owner = getattr(top, "name", None)
             offenders += [
@@ -65,6 +67,18 @@ def test_only_the_kernels_read_rhs():
 
 def test_only_the_kernels_read_vectorized():
     assert _attribute_reads("vectorized", VECTORIZED_READERS) == []
+
+
+def test_only_system_names_the_rhs_block():
+    # the stack size is evaluate_rhs's choice; a kernel takes whatever rows it gets
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "system.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "RHS_BLOCK" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert offenders == []
 
 
 def test_no_module_scatters_with_add_at():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import modred.cli
 from modred import Trajectory
 from modred.cli import main, parse_config, read_csv, write_csv
 
@@ -504,3 +505,21 @@ def test_bad_psi_fails_before_the_dual(tmp_path, capsys, psi, problem):
     err = capsys.readouterr().err
     assert f"config key psi must be {problem}, got '{psi.split(',')[0]}'" in err
     assert not (tmp_path / "psi.estimate.txt").exists()
+
+
+def test_estimate_with_T_too_short_for_control_points_fails_before_the_dual(tmp_path, capsys, monkeypatch):
+    # the control-point window is checked with the other config values, not
+    # after a full backward dual solve
+    cfg = tmp_path / "s.cfg"
+    assert run_cli("example", "simple", "-o", cfg) == 0
+    cfg.write_text(cfg.read_text().replace("output = simple_run", f"output = {tmp_path/'short'}"))
+    assert run_cli("reduce", cfg, "--T", "3e-7") == 0
+
+    def no_dual(*args):
+        raise AssertionError("solve_dual called")
+
+    monkeypatch.setattr(modred.cli, "solve_dual", no_dual)
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--T", "3e-7") == 1
+    assert "T too short for control points (need T > 4 * tau)" in capsys.readouterr().err
+    assert not (tmp_path / "short.estimate.txt").exists()

@@ -360,6 +360,22 @@ def test_control_points_on_fresh_simple_model():
     assert 0.9 <= points[0].perturbation <= 1.1
 
 
+def test_lattice_deviation_is_the_norm_the_bound_takes():
+    # the lattice example's pipeline: several active components deviate, so
+    # the 2-norm of the model term exceeds the largest single deviation
+    sys = make_lattice(LatticeSpec(p=3, M=100.0, m=1e-4))
+    reduced, model, _ = auto_model(sys, 1.0, 0.002)
+    U = solve_cg1(reduced, TimePartition.uniform(0, 20.0, 0.05))
+    points = validate_at_control_points(U, sys, model, np.linspace(2.0, 18.0, 4))
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.ones(sys.dimension)), 0.05)
+    est = error_estimate(U, reduced, model, phi, points)
+    for p in points:
+        diff = (model.constants - p.gbar)[model.active]
+        assert p.deviation == np.linalg.norm(diff)
+        assert p.deviation > np.max(np.abs(diff))
+    assert est.max_model_deviation == max(p.deviation for p in points)
+
+
 def test_control_points_resolve_with_the_model_window(monkeypatch):
     # the fitted model is the only carrier of the window: control points
     # resolve with its tau and resolved_step, here not the tau/500 default

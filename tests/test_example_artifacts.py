@@ -38,7 +38,7 @@ PINNED = {
         "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",
         "model.txt": "9ad609c7640e1d4d6f008796eb70ce91efc89f521107ebbf1c2cbbb81e0e8c5a",
         "estimate.txt": "8a3d086cd65fd84a00e197c178e155779d00fcfcde0e734f7061d2fe48386dbb",
-        "controls.txt": "6414f5b60740aae633cb093bcaaafceb6bfc6b6121cd139a1b8d8e7f1cf9c317",
+        "controls.txt": "8f2a3ad9e6666c33ed2383ccc35a186b5d091b8f454c0fa29a8041de9a55a941",
     },
 }
 

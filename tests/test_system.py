@@ -13,9 +13,10 @@ from modred import (
     evaluate_rhs,
     interpolate,
     jacobian,
+    make_lattice,
     make_simple_model,
 )
-from modred.system import INTERPOLATE_BLOCK, RHS_BLOCK, row_norms
+from modred.system import FD_EPS_REL, INTERPOLATE_BLOCK, RHS_BLOCK, row_norms
 
 
 def test_simple_model_rhs_at_initial_value():
@@ -129,10 +130,63 @@ def test_nonfinite_analytic_jacobian_reports_entry():
 
 
 def test_nonfinite_fd_jacobian_reports_entry():
+    # the rhs is NaN at u0 = -h: evaluate_rhs names the value, with no numpy warning
     sys = DynamicalSystem(2, lambda u, t: np.array([0.0, np.sqrt(u[0])]), np.zeros(2))
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(EvaluationError, match=r"finite-difference Jacobian entry \(1, 0\)"):
-            jacobian(sys, sys.initial_value, 0.0)
+    with pytest.raises(EvaluationError, match=re.escape("rhs component 1 is non-finite at t=0.0")):
+        jacobian(sys, sys.initial_value, 0.0)
+
+
+def test_fd_jacobian_difference_overflow_reports_entry():
+    # finite rhs values whose difference overflows
+    sys = DynamicalSystem(2, lambda u, t: np.array([0.0, 1.5e308 * np.sign(u[0])]), np.zeros(2))
+    with pytest.raises(EvaluationError, match=r"finite-difference Jacobian entry \(1, 0\)"):
+        jacobian(sys, sys.initial_value, 0.0)
+
+
+def _fd_jacobian_by_columns(sys, u, t):
+    """The finite-difference Jacobian as a per-column loop of single-state rhs calls."""
+    n = sys.dimension
+    J = np.empty((n, n))
+    for j in range(n):
+        h = FD_EPS_REL * max(abs(u[j]), 1.0)
+        up = u.copy()
+        um = u.copy()
+        up[j] += h
+        um[j] -= h
+        J[:, j] = (sys.rhs(up, t) - sys.rhs(um, t)) / (2.0 * h)
+    return J
+
+
+def _fd_systems():
+    A = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7], [-0.4, 0.9, 1.1]])
+    return {
+        "lattice-p3": dataclasses.replace(make_lattice(LatticeSpec(p=3, m=1e-4)), jacobian=None),
+        "simple": dataclasses.replace(make_simple_model(1e18), jacobian=None),
+        "not-vectorized": DynamicalSystem(3, lambda u, t: A @ u + np.sin(u) * t, np.ones(3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fd_systems()))
+def test_fd_jacobian_equals_the_per_column_loop(name, rng):
+    sys = _fd_systems()[name]
+    for t in (0.0, 0.7, 3.1):
+        u = sys.initial_value + rng.normal(scale=0.1, size=sys.dimension)
+        np.testing.assert_array_equal(jacobian(sys, u, t), _fd_jacobian_by_columns(sys, u, t))
+
+
+@pytest.mark.parametrize("name,calls", [("lattice-p3", 2), ("simple", 1), ("not-vectorized", 6)])
+def test_fd_jacobian_takes_its_states_as_batches(name, calls):
+    # 2N perturbed states: stacks of RHS_BLOCK rows, or one call per row
+    sys = _fd_systems()[name]
+    shapes = []
+
+    def counted(u, t):
+        shapes.append(u.shape)
+        return sys.rhs(u, t)
+
+    jacobian(dataclasses.replace(sys, rhs=counted), sys.initial_value, 0.0)
+    assert len(shapes) == calls
+    assert sum(s[0] if len(s) == 2 else 1 for s in shapes) == 2 * sys.dimension
 
 
 def _interpolate_rows(traj, ts):
