@@ -14,7 +14,8 @@ S1 = integral of ||phi'||.  The Jacobian is evaluated at U alone (the
 mean-value segment between the averaged and computed solutions is collapsed
 to its endpoint); the discrepancy is second order in their distance and is
 recorded in every report.  Control points take tau and the resolved step from
-the fitted SubgridModel, so they measure gbar exactly as the fit did.
+the fitted SubgridModel and step on its local partition of [0, 2*tau] wherever
+they start, so they measure gbar exactly as the fit did.
 """
 
 from __future__ import annotations
@@ -213,9 +214,10 @@ def validate_at_control_points(
 
     Initial data at a control point is the computed reduced solution with the
     frozen components displaced by their recorded oscillation amplitude; the
-    full system is resolved over [t_c, t_c + 2*tau] at the model's
-    resolved_step and the variance averaged over the interior window by the
-    same resolve_short and measure_gbar as the original fit.
+    full system seen from t_c is resolved over the local window [0, 2*tau] at
+    the model's resolved_step, the fit's own partition, and the variance
+    averaged over the interior window by the same resolve_short and
+    measure_gbar as the original fit, with rhs times t_c + s.
     """
     delta = _perturbation_vector(sys, model)
     perturbation = float(np.max(np.abs(delta), initial=0.0))
@@ -224,7 +226,7 @@ def validate_at_control_points(
     _, starts = interpolate(reduced_traj.times, reduced_traj.states, times)
     for t_c, u_c in zip(times.tolist(), starts + delta):
         resolved = resolve_short(sys, u_c, t_c, model.tau, model.resolved_step)
-        gbar = measure_gbar(resolved, sys, model.tau)
+        gbar = measure_gbar(resolved, sys.seen_from(t_c), model.tau)
         deviation = float(np.linalg.norm((model.constants - gbar)[model.active]))
         measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
     return tuple(measured)

@@ -34,15 +34,20 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
         u1, u2, u3, u4 = u.tolist() if u.ndim == 1 else u.T
         return np.array([u3, u4, -u1 + 0.5 * u2 * u2, -kappa * u2]).T
 
+    # Entry (2, 1) is u2, set on a fresh copy per call.
+    jac_template = np.array(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, -kappa, 0.0, 0.0],
+        ]
+    )
+
     def jac(u, t):
-        return np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [-1.0, u[1], 0.0, 0.0],
-                [0.0, -kappa, 0.0, 0.0],
-            ]
-        )
+        J = jac_template.copy()
+        J[2, 1] = u[1]
+        return J
 
     return DynamicalSystem(
         dimension=4,
@@ -192,6 +197,10 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     block_sign = np.array([-1.0, 1.0, 1.0, -1.0])[None, :, None, None]
     # Flat force index of each spring end's (x, y), all a-ends then all b-ends.
     force_index = (2 * np.concatenate([ia, ib])[:, None] + coord).ravel()
+    # Flat coordinates of every spring's b-end (x, y), then of its a-end: one
+    # gather takes both, and their difference is the separations, (x, y) per spring.
+    ends = (2 * np.concatenate([ib, ia])[:, None] + coord).ravel()
+    n_sep = 2 * len(ia)
     coord_masses = np.repeat(masses, 2)
     velocity_diagonal = (np.arange(n_pos), n_pos + np.arange(n_pos))
 
@@ -202,10 +211,11 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
 
     def springs(u):
         """Separations (..., springs, 2) and lengths of one state or a stack."""
-        pos = u[..., :n_pos].reshape(*u.shape[:-1], n_masses, 2)
-        d = np.take(pos, ib, axis=-2) - np.take(pos, ia, axis=-2)
-        d0, d1 = d[..., 0], d[..., 1]
-        return d, np.sqrt(d0 * d0 + d1 * d1)  # np.linalg.norm(d, axis=-1)
+        e = u.take(ends, axis=-1)
+        d = e[..., :n_sep] - e[..., n_sep:]
+        dd = d * d
+        # np.linalg.norm(d, axis=-1) of the (x, y) pairs
+        return d.reshape(*u.shape[:-1], -1, 2), np.sqrt(dd[..., 0::2] + dd[..., 1::2])
 
     def rhs(u, t):
         stack = u.reshape(-1, 2 * n_pos)

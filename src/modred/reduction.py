@@ -2,11 +2,12 @@
 fit a constant subgrid forcing from the measured variance, freeze components
 whose average stays constant, and assemble the reduced system.
 
-The resolved run covers [t, t + 2*tau] at a fixed step, from t = 0 for the fit
-and from each control point; the fitted SubgridModel carries tau and the step,
-so control points resolve exactly as the fit did.  Averages are only
-interior-valid tau/2 away from each end, so the fit window is the maximal
-centered window [tau/2, 3*tau/2].  A component is inactivated (frozen) when
+The resolved run covers 2*tau at a fixed step, from t = 0 for the fit and from
+each control point t_c, always on the local partition of [0, 2*tau] with the
+system seen from its start (rhs and Jacobian called at t_c + s); the fitted
+SubgridModel carries tau and the step, so control points resolve on exactly
+the steps of the fit.  Averages are only interior-valid tau/2 away from each
+end, so the fit window is the maximal centered window [tau/2, 3*tau/2].  A component is inactivated (frozen) when
 its moving average is constant over the fit window while the unaveraged signal
 carries a macroscopic oscillation; the oscillation guard (variation dominated
 by the fast scale, amplitude above the tolerance) ensures that neither a
@@ -25,7 +26,7 @@ import numpy as np
 
 from .averaging import averaged_values, trapezoid, variance_values
 from .integrator import ConvergenceError, TimePartition, solve_cg1
-from .system import Array, DynamicalSystem, Trajectory, frozen_array, rhs_value
+from .system import Array, DynamicalSystem, EvaluationError, Trajectory, frozen_array, rhs_value
 
 #: Minimum resolved nodes per fast oscillation period for the quadrature of
 #: the rhs average to be trustworthy.
@@ -100,15 +101,21 @@ class SubgridModel:
 
 
 def resolve_short(sys: DynamicalSystem, u: Array, t: float, tau: float, step: float) -> Trajectory:
-    """Solve the full system from state u at time t over [t, t + 2*tau] with
-    the resolved step: the run behind the fit and every control point."""
-    window_sys = dataclasses.replace(sys, initial_value=u)
+    """Solve the full system from state u at time t with the resolved step:
+    the run behind the fit and every control point.
+
+    Every run steps on the same local partition of [0, 2*tau], wherever it
+    starts: the trajectory's times are s = t' - t, and the system it solves,
+    sys.seen_from(t), is what measure_gbar must be given with it."""
+    window_sys = dataclasses.replace(sys.seen_from(t), initial_value=u)
     try:
-        return solve_cg1(window_sys, TimePartition.uniform(t, t + 2.0 * tau, step))
+        return solve_cg1(window_sys, TimePartition.uniform(0.0, 2.0 * tau, step))
     except ConvergenceError as err:
         raise RuntimeError(
             f"resolved run from t={t:g} failed: {err}; use a smaller resolved_step than {step:g}"
         ) from err
+    except EvaluationError as err:
+        raise EvaluationError(f"resolved run from t={t:g}, in its local time: {err}") from err
 
 
 def _window_slice(traj: Trajectory, tau: float) -> tuple[Array, tuple[float, float]]:

@@ -6,6 +6,7 @@ right-hand sides are expected to be pure functions of (u, t).
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -86,6 +87,19 @@ class DynamicalSystem:
         for i, j in self.oscillator_pairs:
             if not (0 <= i < self.dimension and 0 <= j < self.dimension):
                 raise ValueError(f"oscillator pair ({i}, {j}) out of range")
+
+    def seen_from(self, t0: float) -> DynamicalSystem:
+        """The system on a local clock s = t - t0: its rhs and Jacobian are
+        called at t0 + s, so a window solved on [0, 2*tau] from any t0 has the
+        steps of one solved from 0.  At t0 == 0 the system itself."""
+        if t0 == 0.0:
+            return self
+        rhs, jac = self.rhs, self.jacobian
+        return dataclasses.replace(
+            self,
+            rhs=lambda u, s: rhs(u, t0 + s),
+            jacobian=None if jac is None else lambda u, s: jac(u, t0 + s),
+        )
 
 
 def rhs_value(f, *shape: int) -> Array:

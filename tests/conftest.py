@@ -25,6 +25,19 @@ def rotation_exact(u0, t):
     return np.array([c * u0[0] + s * u0[1], -s * u0[0] + c * u0[1]])
 
 
+def forced_oscillator():
+    """u1'' = -400 u1 + cos(t) u1**2: a fast oscillator whose rhs and
+    Jacobian both depend on t."""
+
+    def rhs(u, t):
+        return np.array([u[1], -400.0 * u[0] + np.cos(t) * u[0] ** 2])
+
+    def jac(u, t):
+        return np.array([[0.0, 1.0], [-400.0 + 2.0 * np.cos(t) * u[0], 0.0]])
+
+    return DynamicalSystem(2, rhs, np.array([0.5, 0.0]), jacobian=jac)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

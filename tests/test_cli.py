@@ -120,6 +120,25 @@ def test_reduce_then_estimate_simple(tmp_path):
     assert measured <= total + 0.01
 
 
+def test_estimate_resolves_every_control_window_from_local_time_zero(tmp_path, monkeypatch):
+    # each control window steps on the fit's partition of [0, 2*tau], however
+    # far along the reduced solve it starts
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    assert run_cli("example", "simple", "-o", cfg) == 0
+    assert run_cli("reduce", cfg) == 0
+    starts = []
+    solve = modred.reduction.solve_cg1
+
+    def spy(sys, part, opts=None):
+        starts.append(float(part.times[0]))
+        return solve(sys, part, opts)
+
+    monkeypatch.setattr(modred.reduction, "solve_cg1", spy)
+    assert run_cli("estimate", cfg) == 0
+    assert starts == [0.0] * parse_config(str(cfg)).control_points
+
+
 def test_estimate_requires_reduce_artifacts(tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import modred.dual
-from conftest import rotation_exact, rotation_system
+from conftest import forced_oscillator, rotation_exact, rotation_system
 from modred import (
     ControlPoint,
     DualProblem,
@@ -28,6 +28,7 @@ from modred import (
     validate_at_control_points,
 )
 from modred.dual import BLOCK_DUAL_MIN
+from modred.reduction import measure_gbar
 from modred.system import INTERPOLATE_BLOCK
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)
@@ -393,6 +394,22 @@ def test_control_points_resolve_with_the_model_window(monkeypatch):
     points = validate_at_control_points(U, sys, model, [0.7, 0.3])
     assert calls == [(0.3, model.tau, model.resolved_step), (0.7, model.tau, model.resolved_step)]
     assert [p.time for p in points] == [0.3, 0.7]
+
+
+def test_control_point_measures_a_time_dependent_forcing_at_its_own_time():
+    # the window from t_c is solved and measured on one local clock, the rhs
+    # seeing t_c + s: as a solve over [t_c, t_c + 2*tau] in absolute time
+    sys = forced_oscillator()
+    model = _trivial_model(2, 0.5, sys.initial_value)
+    u = np.array([0.4, 1.0])
+    held = Trajectory(np.array([0.0, 10.0]), np.array([u, u]))
+    (point,) = validate_at_control_points(held, sys, model, [5.0])
+    direct = solve_cg1(
+        dataclasses.replace(sys, initial_value=u), TimePartition.uniform(5.0, 6.0, model.resolved_step)
+    )
+    gbar = measure_gbar(direct, sys, model.tau)
+    assert np.max(np.abs(gbar)) > 1e-3
+    np.testing.assert_allclose(point.gbar, gbar, rtol=0, atol=1e-9)
 
 
 def test_corrupted_subgrid_constant_is_caught_and_bounded():

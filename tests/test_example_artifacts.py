@@ -31,20 +31,20 @@ PINNED = {
     "simple": {
         "csv": "e92ba2054264a785153ab33faf0825c0723924b00187752f4ed8314b663166da",
         "model.txt": "56883f10c1df2e2244b171404edaed8fefe584ab257e9a938e4673dce6db3845",
-        "estimate.txt": "9df3f02392ce09316768f42cd9d09ffb4134ea267d126962788a49fd8e4ffe0b",
-        "controls.txt": "6a194afaa809848723c7525cd81c827d3979094ca8bbc6f90d5d595e56e0eda6",
+        "estimate.txt": "41fef5762d00e8702bc0069d8115c80bd8ee9b3898fde459165403919a528394",
+        "controls.txt": "de5a4f0ffed4ec55e83a066e9a9a17d8a23b3eb2dc3ca25fd73cceec5c29c26a",
     },
     "lattice": {
         "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",
         "model.txt": "9ad609c7640e1d4d6f008796eb70ce91efc89f521107ebbf1c2cbbb81e0e8c5a",
-        "estimate.txt": "8a3d086cd65fd84a00e197c178e155779d00fcfcde0e734f7061d2fe48386dbb",
-        "controls.txt": "8f2a3ad9e6666c33ed2383ccc35a186b5d091b8f454c0fa29a8041de9a55a941",
+        "estimate.txt": "824a75002e5eb716e3e01a37a8171a9f78df365caa455a553beded3d1fcc27a3",
+        "controls.txt": "d0eca99a9e41cfbbb26cb240659b0f7e5ef7cfe72a9d5eb1b8bfe0e02d84d7df",
     },
 }
 
 # (upper bound on rhs calls, exact Jacobian calls) over reduce + estimate.
 WORK = {
-    "simple": (23_360, 1_006),
+    "simple": (21_510, 1_006),
     "lattice": (31_352, 406),
 }
 

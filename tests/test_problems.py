@@ -282,6 +282,67 @@ def test_lattice_kernels_equal_the_add_at_reference(p, rng):
             np.testing.assert_array_equal(sys.jacobian(u, 0.0), ref_jac(u))
 
 
+def _take_rhs(spec):
+    """The lattice rhs as it gathered the spring ends by two np.take calls
+    over a (masses, 2) view, for one state or a stack: the reference that the
+    one-gather rhs must match bit for bit."""
+    positions, ia, ib, rest = _lattice_geometry(spec)
+    n_masses = len(positions)
+    n_pos = 2 * n_masses
+    masses = np.concatenate([np.full(spec.n_large, spec.M), np.full(spec.n_small, spec.m)])
+    coord_masses = np.repeat(masses, 2)
+    force_index = (2 * np.concatenate([ia, ib])[:, None] + np.arange(2)).ravel()
+
+    def rhs(u):
+        stack = u.reshape(-1, 2 * n_pos)
+        n_rows = len(stack)
+        pos = stack[:, :n_pos].reshape(n_rows, n_masses, 2)
+        d = np.take(pos, ib, axis=-2) - np.take(pos, ia, axis=-2)
+        length = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+        pull = (spec.kappa * (length - rest) / length)[..., None] * d
+        weights = np.stack([pull, -pull], axis=1)
+        index = force_index + n_pos * np.arange(n_rows)[:, None]
+        force = np.bincount(index.ravel(), weights.ravel(), n_rows * n_pos).reshape(n_rows, n_pos)
+        return np.concatenate([stack[:, n_pos:], force / coord_masses], axis=1).reshape(u.shape)
+
+    return rhs
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_lattice_rhs_equals_the_two_take_reference(p, rng):
+    # one flat gather of both spring ends leaves every bit where it was
+    spec = LatticeSpec(p=p, m=1e-4)
+    sys = make_lattice(spec)
+    ref = _take_rhs(spec)
+    for rows in (None, 1, 3, RHS_BLOCK, RHS_BLOCK + 1):
+        shape = (sys.dimension,) if rows is None else (rows, sys.dimension)
+        u = sys.initial_value + rng.normal(scale=1e-2, size=shape)
+        f = sys.rhs(u, np.zeros(shape[:-1]))
+        assert f.shape == shape
+        np.testing.assert_array_equal(f.view(np.int64), ref(u).view(np.int64))
+
+
+def test_simple_jacobian_equals_the_nested_list_and_is_fresh(rng):
+    kappa = 1e18
+    sys = make_simple_model(kappa)
+    for _ in range(10):
+        u = rng.normal(size=4)
+        ref = np.array(
+            [
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [-1.0, u[1], 0.0, 0.0],
+                [0.0, -kappa, 0.0, 0.0],
+            ]
+        )
+        J = sys.jacobian(u, 0.0)
+        np.testing.assert_array_equal(J.view(np.int64), ref.view(np.int64))
+        # a caller may scale its copy in place, as the chord matrix does
+        J *= -0.5
+        J[2, 1] = np.nan
+        np.testing.assert_array_equal(sys.jacobian(u, 0.0), ref)
+
+
 def test_lattice_rhs_neither_mutates_nor_shares_its_state(rng):
     sys = make_lattice(LatticeSpec(p=3))
     u = sys.initial_value + rng.normal(scale=1e-3, size=sys.dimension)

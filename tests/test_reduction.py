@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import linear_system
+from conftest import forced_oscillator, linear_system
 from modred import (
     DynamicalSystem,
+    EvaluationError,
     SubgridModel,
     TimePartition,
     Trajectory,
@@ -17,7 +18,7 @@ from modred import (
     resolve_short,
     solve_cg1,
 )
-from modred.reduction import format_model_report, parse_model_report
+from modred.reduction import format_model_report, measure_gbar, parse_model_report
 
 
 def test_unresolved_window_names_the_contraction_estimate():
@@ -57,6 +58,78 @@ def test_resolve_short_exponential_endpoint():
     traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.002)
     np.testing.assert_allclose(traj.times[-1], 1.0)
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
+
+
+def _row_counted(sys):
+    """sys with an rhs that counts the state rows it is given."""
+    rows = [0]
+    rhs = sys.rhs
+
+    def counted(u, t):
+        rows[0] += len(u) if u.ndim == 2 else 1
+        return rhs(u, t)
+
+    return dataclasses.replace(sys, rhs=counted), rows
+
+
+@pytest.mark.parametrize("t_c", [33.3, 2000.0, 1e7])
+def test_window_from_a_control_time_steps_on_the_fit_partition(t_c):
+    # on an absolute partition the nodes rounded to ulp(t_c): the chord matrix
+    # missed the jittered steps (2.88 and 2.79 rhs rows per step at 33.3 and
+    # 2000) and at 1e7 the nodes stopped increasing; the local clock gives
+    # every window the fit's steps, so the autonomous model's window is that
+    # from t = 0, bit for bit
+    sys = make_simple_model(1e18)
+    tau, step = 1e-7, 2e-10
+    u = sys.initial_value
+    fit = resolve_short(sys, u, 0.0, tau, step)
+    counted, rows = _row_counted(sys)
+    window = resolve_short(counted, u, t_c, tau, step)
+    steps = len(window.times) - 1
+    assert rows[0] == 2 * steps
+    np.testing.assert_array_equal(window.times, fit.times)
+    np.testing.assert_array_equal(window.states, fit.states)
+    gbar = measure_gbar(window, sys.seen_from(t_c), tau)
+    np.testing.assert_array_equal(gbar, measure_gbar(fit, sys, tau))
+
+
+def test_seen_from_calls_the_system_at_the_shifted_time():
+    sys = forced_oscillator()
+    assert sys.seen_from(0.0) is sys
+    shifted = sys.seen_from(5.0)
+    u = np.array([0.3, -2.0])
+    for s in (0.0, 0.25, 1.0):
+        np.testing.assert_array_equal(shifted.rhs(u, s), sys.rhs(u, 5.0 + s))
+        np.testing.assert_array_equal(shifted.jacobian(u, s), sys.jacobian(u, 5.0 + s))
+    assert shifted.dimension == sys.dimension and shifted.oscillator_pairs == sys.oscillator_pairs
+    np.testing.assert_array_equal(shifted.initial_value, sys.initial_value)
+
+
+def test_window_of_a_time_dependent_system_matches_an_absolute_solve():
+    # at a moderate t_c the absolute partition's nodes sit within a few ulp(t_c)
+    # of the local ones, so both runs agree to far below the solver tolerance
+    sys = forced_oscillator()
+    tau, step, t_c = 0.5, 1e-3, 5.0
+    u = np.array([0.4, 1.0])
+    window = resolve_short(sys, u, t_c, tau, step)
+    direct = solve_cg1(
+        dataclasses.replace(sys, initial_value=u), TimePartition.uniform(t_c, t_c + 2 * tau, step)
+    )
+    assert window.times[0] == 0.0 and window.times[-1] == 2 * tau
+    np.testing.assert_allclose(window.times + t_c, direct.times, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(window.states, direct.states, rtol=0, atol=1e-10)
+    gbar = measure_gbar(window, sys.seen_from(t_c), tau)
+    assert np.max(np.abs(gbar)) > 1e-3  # the forcing is measured, not zero
+    np.testing.assert_allclose(gbar, measure_gbar(direct, sys, tau), rtol=0, atol=1e-9)
+    # the same window measured on the unshifted clock sees another forcing
+    assert np.max(np.abs(measure_gbar(window, sys, tau) - gbar)) > 1e-3
+
+
+def test_window_evaluation_error_names_the_window_start():
+    # the solver names the local time; the message adds where the window starts
+    sys = DynamicalSystem(1, lambda u, t: u / (t < 5.5), np.array([1.0]))
+    with pytest.raises(EvaluationError, match=r"resolved run from t=5, in its local time: rhs component 0 is non-finite at t=0\.505 "):
+        resolve_short(sys, sys.initial_value, 5.0, 0.5, 0.01)
 
 
 def test_auto_model_resolved_step_bound():
