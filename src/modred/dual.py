@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import trapezoid
-from .integrator import TimePartition, residual_samples
+from .integrator import BLOCK_CROSSOVER, TimePartition, residual_samples
 # Imported only as a rebinding target of perfbench/tracing.py.
 from .integrator import solve_cg1  # noqa: F401
 from .reduction import SubgridModel, measure_gbar, resolve_short
@@ -39,10 +39,6 @@ from .system import (
     interpolate,
     jacobian,
 )
-
-#: Dimension from which the dual solves step by step; below, by stacked propagators.
-BLOCK_DUAL_MIN = 24
-
 
 @dataclass(frozen=True)
 class DualProblem:
@@ -71,9 +67,9 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     Substituting s = T - t turns the problem into a forward linear system,
     which is stepped with cG(1); since the system is linear in phi, each
-    midpoint step is solved directly: below BLOCK_DUAL_MIN components by one
+    midpoint step is solved directly: below BLOCK_CROSSOVER components by one
     stacked solve per interpolation block for the propagators (I - hA)^-1
-    (I + hA), hA = (k/2) J^T; from BLOCK_DUAL_MIN on, step by step over the
+    (I + hA), hA = (k/2) J^T; from BLOCK_CROSSOVER on, step by step over the
     live block alone.  The returned trajectory is oriented forward in t.
     """
     if not 0 < step < np.inf:
@@ -93,7 +89,7 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
             t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
             _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
             half_k = 0.5 * np.diff(s_nodes[lo - 1 : hi])
-            if n < BLOCK_DUAL_MIN:
+            if n < BLOCK_CROSSOVER:
                 hA = np.empty((hi - lo, n, n))
                 for i, (u, t) in enumerate(zip(u_mids, t_mids)):
                     hA[i] = jacobian(dp.sys, u, float(t)).T

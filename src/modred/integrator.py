@@ -8,6 +8,17 @@ solved on each interval by chord Newton from U_{j-1}: v += M (g - v) with
 g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid), M = inv(I - (k/2) J), J taken lazily
 and refreshed after CHORD_REFRESH corrections (Hairer & Wanner, Solving ODEs II,
 IV.8).  A step too large for the fastest scale ((k/2) J of spectral radius >= 1) raises.
+
+Below BLOCK_CROSSOVER components the solve also steps blocks of up to
+INTERPOLATE_BLOCK intervals at a time.  A block predicts its nodes with the
+solve's chord matrix by one doubling scan (Blelloch, "Prefix sums and their
+applications", 1990), checks them all by one rhs batch at their midpoints,
+and keeps the prefix that meets the per-step stopping rule; a whole pass
+doubles the block, anything else halves it for the rest of the solve.  Such
+a node meets the midpoint relation to the tolerance of a step solved alone,
+where chord Newton would often have converged well past it, so the two
+paths agree to the tolerance, not to roundoff; on an affine autonomous
+system the prediction is exact.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from .system import (
     INTERPOLATE_BLOCK,
     Array,
     DynamicalSystem,
+    EvaluationError,
     Trajectory,
     evaluate_rhs,
     frozen_array,
@@ -38,6 +50,10 @@ MAX_CHORD_ITERS = 100
 
 #: Chord corrections after which an unconverged step re-evaluates J.
 CHORD_REFRESH = 4
+
+#: Dimension from which solve_cg1 and solve_dual step one interval at a time;
+#: smaller systems step a block of intervals at a time.
+BLOCK_CROSSOVER = 24
 
 
 class ConvergenceError(RuntimeError):
@@ -114,6 +130,36 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
     return np.linalg.inv(A), float(np.sqrt(growth))
 
 
+def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float) -> Array:
+    """The nodes after u over the intervals of ``times``, predicted with the
+    chord matrix M, up to the first that fails solve_cg1's stopping rule.
+
+    The first chord correction from u, r1 = u + k f(u, t_mid) - u, is held
+    fixed: d_j = P d_{j-1} + M r1 with P = 2M - I and d_0 = 0, summed by a
+    Hillis-Steele doubling scan.  f at u is the first evaluation of a step
+    solved alone, so its errors are that step's; an evaluation at a predicted
+    midpoint that fails passes no step.
+    """
+    k = np.diff(times)
+    t_mids = times[:-1] + 0.5 * k
+    g = u + k[0] * evaluate_rhs(sys, u[None], t_mids[:1])[0]
+    d = np.empty((len(k), len(u)))
+    d[:] = M @ (g - u)
+    P, h = 2.0 * M - np.eye(len(u)), 1
+    while h < len(k):
+        d[h:] += d[:-h] @ P.T
+        P, h = P @ P, 2 * h
+    nodes = u + d
+    left = np.vstack((u, nodes[:-1]))
+    try:
+        f = evaluate_rhs(sys, 0.5 * (left + nodes), t_mids)
+    except EvaluationError:
+        return nodes[:0]
+    g = left + k[:, None] * f
+    passed = row_norms(g - nodes) <= tol * np.maximum(1.0, row_norms(g))
+    return nodes if passed.all() else nodes[: int(np.argmin(passed))]
+
+
 def solve_cg1(
     sys: DynamicalSystem,
     part: TimePartition,
@@ -121,10 +167,16 @@ def solve_cg1(
 ) -> Trajectory:
     """Integrate the system over the given partition with cG(1).
 
-    The returned nodal values satisfy the midpoint relation to within
-    ``fixed_point_tol`` (relative to max(1, |U|)).  Raises ConvergenceError
-    when a step is too large or does not converge, and EvaluationError,
-    naming t and the component, for a non-finite rhs value.
+    Every returned node U_j meets the midpoint relation: a step solved alone
+    returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <= tol *
+    max(1, ||g||), tol = ``fixed_point_tol``; a step taken in a block (systems
+    of fewer than BLOCK_CROSSOVER components) returns its predicted node v,
+    whose defect g - v meets the same bound.  A block starts after a step
+    solved alone has set the chord matrix, so a system at rest steps alone.
+    Raises ConvergenceError when a step is too large or does not converge,
+    and EvaluationError, naming t and the component, for a non-finite rhs
+    value, both for the interval a step solved alone names; an evaluation
+    at a predicted node never raises, it only shrinks the block.
     """
     opts = opts or SolverOptions()
     times = part.times
@@ -136,11 +188,23 @@ def solve_cg1(
     states[0] = sys.initial_value
     u_prev = states[0]
     M = None
+    j, block, ceiling = 1, 1, INTERPOLATE_BLOCK if n < BLOCK_CROSSOVER else 1
 
     # A non-finite rhs value raises EvaluationError below; numpy's warnings
     # would only repeat that.  One errstate per solve costs nothing.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(1, len(times)):
+        while j < len(times):
+            m = min(block, len(times) - j)
+            if m > 1 and M is not None:
+                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol)
+                states[j : j + len(accepted)] = accepted
+                j += len(accepted)
+                u_prev = states[j - 1]
+                if len(accepted) == m:
+                    block = min(2 * block, ceiling)
+                else:
+                    ceiling = block = block // 2
+                continue
             k = times[j] - times[j - 1]
             t_mid = times[j - 1] + 0.5 * k
             v = u_prev
@@ -163,6 +227,8 @@ def solve_cg1(
             else:
                 raise ConvergenceError(j, float(times[j]), res)
             states[j] = u_prev = g
+            j += 1
+            block = min(2 * block, ceiling)
 
     return Trajectory(times, states)
 

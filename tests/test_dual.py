@@ -27,7 +27,7 @@ from modred import (
     stability_factors,
     validate_at_control_points,
 )
-from modred.dual import BLOCK_DUAL_MIN
+from modred.integrator import BLOCK_CROSSOVER
 from modred.reduction import measure_gbar
 from modred.system import INTERPOLATE_BLOCK
 
@@ -188,7 +188,7 @@ def _midpoint_matrices(dp, step):
 
 
 def _dual_reference(dp, step):
-    """solve_dual's states below BLOCK_DUAL_MIN: each step's propagator
+    """solve_dual's states below BLOCK_CROSSOVER: each step's propagator
     (I - hA)^-1 (I + hA) by its own solve, applied to the previous state."""
     eye = np.eye(len(dp.psi))
     phi = [dp.psi]
@@ -235,7 +235,7 @@ def test_dual_propagators_agree_with_direct_step_solves(build):
     # forming the propagator rounds differently from solving each step for the
     # state, by a few ulps per step over 2,500 steps
     dp = build()
-    assert dp.sys.dimension < BLOCK_DUAL_MIN
+    assert dp.sys.dimension < BLOCK_CROSSOVER
     direct = _dual_direct(dp, 0.01)
     assert np.max(np.abs(solve_dual(dp, 0.01).states - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -276,7 +276,7 @@ def test_dual_solves_only_the_active_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recorded_solve)
     block = solve_dual(dp, 0.01).states
-    assert sys.dimension >= BLOCK_DUAL_MIN
+    assert sys.dimension >= BLOCK_CROSSOVER
     assert sizes == {sys.dimension - len(frozen)}
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -286,7 +286,7 @@ def test_all_live_large_dual_matches_the_dense_step_exactly():
     # live block is the whole system: it must give the bits of the dense
     # step solve it replaced, kept here as the reference
     sys = make_lattice(LatticeSpec(p=3))
-    assert sys.dimension >= BLOCK_DUAL_MIN
+    assert sys.dimension >= BLOCK_CROSSOVER
     U = Trajectory(np.linspace(0.0, 1.0, 20), np.tile(sys.initial_value, (20, 1)))
     dp = DualProblem(primal=U, sys=sys, psi=np.cos(np.arange(1.0, sys.dimension + 1.0)))
     eye = np.eye(sys.dimension)

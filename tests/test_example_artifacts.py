@@ -21,6 +21,7 @@ differently and need its own values.
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -29,10 +30,10 @@ from modred.cli import main
 
 PINNED = {
     "simple": {
-        "csv": "e92ba2054264a785153ab33faf0825c0723924b00187752f4ed8314b663166da",
-        "model.txt": "56883f10c1df2e2244b171404edaed8fefe584ab257e9a938e4673dce6db3845",
-        "estimate.txt": "41fef5762d00e8702bc0069d8115c80bd8ee9b3898fde459165403919a528394",
-        "controls.txt": "de5a4f0ffed4ec55e83a066e9a9a17d8a23b3eb2dc3ca25fd73cceec5c29c26a",
+        "csv": "1a2f9c6cb31cba5f42d4ac8920f926a07c84a0224d440d3a05b1a2f05457ef5a",
+        "model.txt": "cc8ad86744af46870cf75b471080d86a072032802c5a55243c1471741682e97d",
+        "estimate.txt": "a6ba1e619ea64373605a5c6792a29a6b181f197db27756392d52b0419280cb12",
+        "controls.txt": "3bf2331db1cb953938647244aebd9c002b8920d87f98e89f071bdbd69d58d227",
     },
     "lattice": {
         "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",
@@ -42,9 +43,9 @@ PINNED = {
     },
 }
 
-# (upper bound on rhs calls, exact Jacobian calls) over reduce + estimate.
+# (upper bound on rhs rows, exact Jacobian calls) over reduce + estimate.
 WORK = {
-    "simple": (21_510, 1_006),
+    "simple": (16_845, 1_006),
     "lattice": (31_352, 406),
 }
 
@@ -102,3 +103,36 @@ def test_example_work_counts_do_not_grow(example_run):
     max_rhs, jacobians = WORK[name]
     assert counts["rhs"] <= max_rhs
     assert counts["jacobian"] == jacobians
+
+
+def _simple_pipeline(out, T, *estimate_args):
+    """Artifact bytes of `reduce` + `estimate` on the simple example at T,
+    run in ``out``."""
+    assert main(["reduce", "simple.cfg", "--T", str(T)]) == 0
+    assert main(["estimate", "simple.cfg", "--T", str(T), *estimate_args]) == 0
+    return {ext: (out / f"simple_run.{ext}").read_bytes() for ext in PINNED["simple"]}
+
+
+@pytest.mark.parametrize("T", [100, 2000])
+def test_repeated_pipelines_in_one_process_are_byte_identical(T, tmp_path, monkeypatch):
+    # the benchmark compares every repeat with the first in one process, so
+    # nothing a solve decides, such as its block sizes, may outlive the solve
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "simple", "-o", "simple.cfg"]) == 0
+    assert _simple_pipeline(tmp_path, T) == _simple_pipeline(tmp_path, T)
+
+
+def test_simple_bound_holds_against_the_closed_form_at_T_2000(tmp_path, monkeypatch):
+    # |(U(T) - r(T), psi)| <= total, r the closed-form reduced solution
+    # (1/4 (1 - cos t), ., 1/4 sin t, .), for psi = e1 and e3 over 20,000
+    # reduced steps
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "simple", "-o", "simple.cfg"]) == 0
+    for psi, exact in (("1", lambda t: 0.25 * (1.0 - math.cos(t))), ("3", lambda t: 0.25 * math.sin(t))):
+        artifacts = _simple_pipeline(tmp_path, 2000, "--psi", psi)
+        last = artifacts["csv"].decode().splitlines()[-1].split(",")
+        t, u = float(last[0]), float(last[int(psi)])
+        assert t == 2000.0
+        report = dict(line.split(": ", 1) for line in artifacts["estimate.txt"].decode().splitlines())
+        assert report["model_term_validated"] == "yes"
+        assert abs(u - exact(t)) <= float(report["total"])

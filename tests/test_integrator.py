@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rotation_system
+from conftest import forced_oscillator, rotation_system
 from modred import (
     ConvergenceError,
     DynamicalSystem,
@@ -16,6 +16,7 @@ from modred import (
     TimePartition,
     Trajectory,
     assemble_reduced,
+    auto_model,
     evaluate_rhs,
     interpolate,
     make_lattice,
@@ -24,7 +25,8 @@ from modred import (
     resolve_short,
     solve_cg1,
 )
-from modred.system import INTERPOLATE_BLOCK
+from modred.integrator import BLOCK_CROSSOVER, CHORD_REFRESH, MAX_CHORD_ITERS
+from modred.system import INTERPOLATE_BLOCK, jacobian
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)  # Gauss points of the 2-point rule
 
@@ -168,6 +170,155 @@ def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, tau, step):
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(chord.states - reference)) <= 1e-9 * scale
     assert calls <= 6 * (len(chord.times) - 1)
+
+
+def _per_step_chord(sys, part, tol=1e-12):
+    """Nodal states by solve_cg1's per-step chord loop, the path of every
+    step taken alone: each interval iterated from U_{j-1} with one chord
+    matrix per solve, refreshed after CHORD_REFRESH corrections, and a step
+    whose (k/2) J has spectral radius >= 1 rejected."""
+    times = part.times
+    states = [sys.initial_value]
+    M = None
+    for j in range(1, len(times)):
+        k = times[j] - times[j - 1]
+        t_mid = times[j - 1] + 0.5 * k
+        u_prev = v = states[-1]
+        for it in range(MAX_CHORD_ITERS):
+            g = u_prev + k * np.asarray(sys.rhs(0.5 * (u_prev + v), t_mid))
+            res = np.linalg.norm(g - v)
+            if res <= tol * max(1.0, np.linalg.norm(g)):
+                break
+            if M is None or (it and it % CHORD_REFRESH == 0):
+                A = 0.5 * k * jacobian(sys, 0.5 * (u_prev + v), t_mid)
+                rho = np.max(np.abs(np.linalg.eigvals(A)))
+                if not rho < 1.0:
+                    raise ConvergenceError(j, float(times[j]), res, rho)
+                M = np.linalg.inv(np.eye(len(v)) - A)
+            v = v + M @ (g - v)
+        else:
+            raise ConvergenceError(j, float(times[j]), res)
+        states.append(g)
+    return np.array(states)
+
+
+def _call_counted(sys):
+    """sys with an rhs that counts its calls, and the count."""
+    calls = [0]
+    rhs = sys.rhs
+
+    def counted(u, t):
+        calls[0] += 1
+        return rhs(u, t)
+
+    return dataclasses.replace(sys, rhs=counted), calls
+
+
+def _midpoint_defects(traj, sys):
+    """||U_j - U_{j-1} - k_j f(mid_j, t_mid_j)|| per interval, over
+    fixed_point_tol * max(1, ||U_j||)."""
+    k = np.diff(traj.times)
+    mids = 0.5 * (traj.states[1:] + traj.states[:-1])
+    f = evaluate_rhs(sys, mids, traj.times[:-1] + 0.5 * k)
+    defects = np.linalg.norm(np.diff(traj.states, axis=0) - k[:, None] * f, axis=1)
+    return defects / (1e-12 * np.maximum(1.0, np.linalg.norm(traj.states[1:], axis=1)))
+
+
+@pytest.fixture(scope="module")
+def simple_reduced():
+    sys = make_simple_model(1e18)
+    reduced, _, _ = auto_model(sys, 1e-7, 2e-10)
+    return reduced
+
+
+def _simple_reduced_long(simple_reduced):
+    return simple_reduced, TimePartition.uniform(0.0, 2000.0, 0.1)
+
+
+def _simple_fit_window(simple_reduced):
+    return make_simple_model(1e18), TimePartition.uniform(0.0, 2e-7, 2e-10)
+
+
+@pytest.mark.parametrize(
+    "case, max_calls",
+    [(_simple_reduced_long, 400), (_simple_fit_window, 80)],
+    ids=["simple-reduced-20000-steps", "simple-fit-window"],
+)
+def test_block_path_agrees_with_the_per_step_loop(simple_reduced, case, max_calls):
+    # every step of either path meets the stopping rule, whose absolute scale
+    # is fixed_point_tol * max(1, ||U||); the nodes agree within twice that
+    # scale at the largest node (measured: 3e-5 of it on the reduced solve,
+    # 0.96 on the stiff window), where the per-step loop makes 2 rhs calls per
+    # step and the block path a few dozen per solve
+    sys, part = case(simple_reduced)
+    assert sys.dimension < BLOCK_CROSSOVER
+    counted, calls = _call_counted(sys)
+    block = solve_cg1(counted, part)
+    reference = _per_step_chord(sys, part)
+    scale = 1e-12 * max(1.0, np.max(np.linalg.norm(reference, axis=1)))
+    assert np.max(np.abs(block.states - reference)) <= 2.0 * scale
+    assert calls[0] <= max_calls
+    assert np.max(_midpoint_defects(block, sys)) <= 1.0
+
+
+def test_speculative_nan_only_shrinks_the_block():
+    # u' = 1 - u^2 from -0.5 at step 0.8: the per-step loop never evaluates
+    # above u = 0.8, but the first predicted block overshoots into the region
+    # where the rhs is NaN; that evaluation must not raise, and the solve
+    # goes on step by step to the reference nodes
+    seen = []
+
+    def rhs(u, t):
+        seen.append(float(np.max(u)))
+        return np.where(u > 1.2, np.nan, 1.0 - u * u)
+
+    sys = DynamicalSystem(1, rhs, np.array([-0.5]), vectorized=True)
+    part = TimePartition.uniform(0.0, 30.0, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve_cg1(sys, part)
+    assert max(seen) > 1.2
+    np.testing.assert_allclose(traj.states, _per_step_chord(sys, part), rtol=0, atol=1e-12)
+    seen.clear()
+    _per_step_chord(sys, part)
+    assert max(seen) < 1.2
+
+
+def test_forced_nonlinear_oscillator_matches_the_per_step_loop():
+    # rhs and Jacobian both depend on t, and the system is not vectorized:
+    # the check evaluates every step of a block at its own midpoint time
+    sys = forced_oscillator()
+    part = TimePartition.uniform(0.0, 0.5, 1e-4)
+    traj = solve_cg1(sys, part)
+    np.testing.assert_allclose(traj.states, _per_step_chord(sys, part), rtol=0, atol=2e-11)
+    assert np.max(_midpoint_defects(traj, sys)) <= 1.0
+
+
+def test_too_large_step_after_blocks_names_the_reference_interval():
+    # u' = -c(t) u with c jumping from 1 to 1e4 at t = 0.55: blocks carry the
+    # solve up to the jump, and the step whose midpoint lies past it has
+    # (k/2) J of spectral radius 50; blocks that reach it fail their check,
+    # and the step taken alone raises for the interval the reference names
+    def c(t):
+        return np.where(t < 0.55, 1.0, 1e4)
+
+    sys = DynamicalSystem(
+        1,
+        lambda u, t: -(c(t) * u.T).T,
+        np.ones(1),
+        jacobian=lambda u, t: np.array([[-float(c(t))]]),
+        vectorized=True,
+    )
+    part = TimePartition.uniform(0.0, 1.0, 0.01)
+    with pytest.raises(ConvergenceError) as reference:
+        _per_step_chord(sys, part)
+    counted, calls = _call_counted(sys)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_cg1(counted, part)
+    assert exc.value.interval == reference.value.interval == 56
+    assert str(exc.value) == str(reference.value)
+    assert exc.value.contraction == pytest.approx(50.0, rel=1e-9)
+    assert calls[0] < 2 * 55
 
 
 def test_fixed_point_tolerance_is_respected():

@@ -76,17 +76,17 @@ def _row_counted(sys):
 def test_window_from_a_control_time_steps_on_the_fit_partition(t_c):
     # on an absolute partition the nodes rounded to ulp(t_c): the chord matrix
     # missed the jittered steps (2.88 and 2.79 rhs rows per step at 33.3 and
-    # 2000) and at 1e7 the nodes stopped increasing; the local clock gives
-    # every window the fit's steps, so the autonomous model's window is that
-    # from t = 0, bit for bit
+    # 2000, against 2.00 from t = 0) and at 1e7 the nodes stopped increasing;
+    # the local clock gives every window the fit's steps, so the autonomous
+    # model's window is that from t = 0, bit for bit, at the same rhs rows
     sys = make_simple_model(1e18)
     tau, step = 1e-7, 2e-10
     u = sys.initial_value
-    fit = resolve_short(sys, u, 0.0, tau, step)
+    counted_fit, fit_rows = _row_counted(sys)
+    fit = resolve_short(counted_fit, u, 0.0, tau, step)
     counted, rows = _row_counted(sys)
     window = resolve_short(counted, u, t_c, tau, step)
-    steps = len(window.times) - 1
-    assert rows[0] == 2 * steps
+    assert rows[0] == fit_rows[0] < 2 * (len(fit.times) - 1)
     np.testing.assert_array_equal(window.times, fit.times)
     np.testing.assert_array_equal(window.states, fit.states)
     gbar = measure_gbar(window, sys.seen_from(t_c), tau)
