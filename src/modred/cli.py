@@ -366,25 +366,19 @@ def _split_overrides(extras: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modred",
-        description="Automatic model reduction for multiscale ODE systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "reduce", "estimate"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="flat key = value config file")
-    p = sub.add_parser("example")
-    p.add_argument("name", choices=sorted(_EXAMPLE_CONFIGS))
-    p.add_argument("-o", "--output", default=None)
-    return parser
-
-
 # Built once: parsing keeps no state on the parser, and building it per call
 # took about 0.5 ms, a third of what a command on the simple example spends
 # outside its numerical stages.
-_PARSER = _parser()
+_PARSER = argparse.ArgumentParser(
+    prog="modred",
+    description="Automatic model reduction for multiscale ODE systems.",
+)
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+for _name in ("solve", "reduce", "estimate"):
+    _sub.add_parser(_name).add_argument("config", help="flat key = value config file")
+_example = _sub.add_parser("example")
+_example.add_argument("name", choices=sorted(_EXAMPLE_CONFIGS))
+_example.add_argument("-o", "--output", default=None)
 
 
 def main(argv=None) -> int:

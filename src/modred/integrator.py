@@ -13,12 +13,13 @@ Below BLOCK_CROSSOVER components the solve also steps blocks of up to
 INTERPOLATE_BLOCK intervals at a time.  A block predicts its nodes with the
 solve's chord matrix by one doubling scan (Blelloch, "Prefix sums and their
 applications", 1990), checks them all by one rhs batch at their midpoints,
-and keeps the prefix that meets the per-step stopping rule; a whole pass
-doubles the block, anything else halves it for the rest of the solve.  Such
-a node meets the midpoint relation to the tolerance of a step solved alone,
-where chord Newton would often have converged well past it, so the two
-paths agree to the tolerance, not to roundoff; on an affine autonomous
-system the prediction is exact.
+and keeps the prefix that meets the per-step stopping rule, after one chord
+correction of that prefix from the defects the check found; a whole pass
+doubles the block, anything else halves it for the rest of the solve.  The
+correction does for a block what returning g does for a step solved alone:
+a node passes with a defect up to the tolerance, and leaves with a
+contracted one.  The two paths agree to the tolerance, not to roundoff; on
+an affine system the corrected nodes are exact up to the scan's roundoff.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .system import (
     INTERPOLATE_BLOCK,
     Array,
     DynamicalSystem,
-    EvaluationError,
     Trajectory,
     evaluate_rhs,
     frozen_array,
@@ -130,34 +130,42 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
     return np.linalg.inv(A), float(np.sqrt(growth))
 
 
+def _chord_scan(M: Array, c: Array) -> Array:
+    """Rows d_j = P d_{j-1} + M c_j from d_0 = 0, with P = 2M - I: the chord
+    linearization of consecutive midpoint steps driven by the rows c_j of c,
+    summed by a Hillis-Steele doubling scan."""
+    d = c @ M.T
+    P, h = 2.0 * M - np.eye(len(M)), 1
+    while h < len(d):
+        d[h:] += d[:-h] @ P.T
+        P, h = P @ P, 2 * h
+    return d
+
+
 def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float) -> Array:
     """The nodes after u over the intervals of ``times``, predicted with the
     chord matrix M, up to the first that fails solve_cg1's stopping rule.
 
-    The first chord correction from u, r1 = u + k f(u, t_mid) - u, is held
-    fixed: d_j = P d_{j-1} + M r1 with P = 2M - I and d_0 = 0, summed by a
-    Hillis-Steele doubling scan.  f at u is the first evaluation of a step
+    The prediction holds the first chord correction from u, k f(u, t_mid),
+    fixed over the block.  The defects r_j = U_{j-1} + k f(mid_j) - U_j of the
+    passing prefix then drive one chord correction of it, as a step solved
+    alone returns g after its check.  f at u is the first evaluation of a step
     solved alone, so its errors are that step's; an evaluation at a predicted
-    midpoint that fails passes no step.
+    midpoint that fails in any way passes no step.
     """
     k = np.diff(times)
     t_mids = times[:-1] + 0.5 * k
-    g = u + k[0] * evaluate_rhs(sys, u[None], t_mids[:1])[0]
-    d = np.empty((len(k), len(u)))
-    d[:] = M @ (g - u)
-    P, h = 2.0 * M - np.eye(len(u)), 1
-    while h < len(k):
-        d[h:] += d[:-h] @ P.T
-        P, h = P @ P, 2 * h
-    nodes = u + d
+    r1 = k[0] * evaluate_rhs(sys, u[None], t_mids[:1])
+    nodes = u + _chord_scan(M, np.repeat(r1, len(k), axis=0))
     left = np.vstack((u, nodes[:-1]))
     try:
         f = evaluate_rhs(sys, 0.5 * (left + nodes), t_mids)
-    except EvaluationError:
+    except Exception:
         return nodes[:0]
-    g = left + k[:, None] * f
-    passed = row_norms(g - nodes) <= tol * np.maximum(1.0, row_norms(g))
-    return nodes if passed.all() else nodes[: int(np.argmin(passed))]
+    r = left + k[:, None] * f - nodes
+    passed = row_norms(r) <= tol * np.maximum(1.0, row_norms(nodes + r))
+    m = len(k) if passed.all() else int(np.argmin(passed))
+    return nodes[:m] + _chord_scan(M, r[:m])
 
 
 def solve_cg1(
@@ -170,13 +178,15 @@ def solve_cg1(
     Every returned node U_j meets the midpoint relation: a step solved alone
     returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <= tol *
     max(1, ||g||), tol = ``fixed_point_tol``; a step taken in a block (systems
-    of fewer than BLOCK_CROSSOVER components) returns its predicted node v,
-    whose defect g - v meets the same bound.  A block starts after a step
-    solved alone has set the chord matrix, so a system at rest steps alone.
+    of fewer than BLOCK_CROSSOVER components) passes the same check at its
+    predicted node v and returns v plus the block's chord correction from
+    those defects.  A block starts after a step solved alone has set the
+    chord matrix, so a system at rest steps alone.
     Raises ConvergenceError when a step is too large or does not converge,
     and EvaluationError, naming t and the component, for a non-finite rhs
-    value, both for the interval a step solved alone names; an evaluation
-    at a predicted node never raises, it only shrinks the block.
+    value, both for the interval a step solved alone names.  An rhs
+    evaluation at a predicted node that fails, by a non-finite value or by
+    any exception, only shrinks the block.
     """
     opts = opts or SolverOptions()
     times = part.times

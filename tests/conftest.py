@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,20 @@ def forced_oscillator():
         return np.array([[0.0, 1.0], [-400.0 + 2.0 * np.cos(t) * u[0], 0.0]])
 
     return DynamicalSystem(2, rhs, np.array([0.5, 0.0]), jacobian=jac)
+
+
+def rhs_counted(sys):
+    """sys with an rhs that counts its calls and the state rows it is given,
+    and the counts {"calls": ..., "rows": ...}."""
+    counts = {"calls": 0, "rows": 0}
+    rhs = sys.rhs
+
+    def counted(u, t):
+        counts["calls"] += 1
+        counts["rows"] += len(u) if u.ndim == 2 else 1
+        return rhs(u, t)
+
+    return dataclasses.replace(sys, rhs=counted), counts
 
 
 @pytest.fixture

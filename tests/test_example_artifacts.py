@@ -30,10 +30,10 @@ from modred.cli import main
 
 PINNED = {
     "simple": {
-        "csv": "1a2f9c6cb31cba5f42d4ac8920f926a07c84a0224d440d3a05b1a2f05457ef5a",
-        "model.txt": "cc8ad86744af46870cf75b471080d86a072032802c5a55243c1471741682e97d",
-        "estimate.txt": "a6ba1e619ea64373605a5c6792a29a6b181f197db27756392d52b0419280cb12",
-        "controls.txt": "3bf2331db1cb953938647244aebd9c002b8920d87f98e89f071bdbd69d58d227",
+        "csv": "8a84b16e692e526bb072984a87ce1d22db1a715fde45447df8ed9c3f7bd8b4ac",
+        "model.txt": "fcf5bced2e5aafd75ca8f8c7d92b6a3f4ddd70a0d0bbe95978c8b182c3f0e02d",
+        "estimate.txt": "8a1e6e935368b8846d5da768e3cf487c52b51208dc4b7f7bfcc22a1cf8ead512",
+        "controls.txt": "5a363d362b1373fc0f0fe8218c2ab79742d455dd1772a8d698207f6135eb2332",
     },
     "lattice": {
         "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",

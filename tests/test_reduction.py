@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import forced_oscillator, linear_system
+from conftest import forced_oscillator, linear_system, rhs_counted
 from modred import (
     DynamicalSystem,
     EvaluationError,
@@ -60,18 +60,6 @@ def test_resolve_short_exponential_endpoint():
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
 
 
-def _row_counted(sys):
-    """sys with an rhs that counts the state rows it is given."""
-    rows = [0]
-    rhs = sys.rhs
-
-    def counted(u, t):
-        rows[0] += len(u) if u.ndim == 2 else 1
-        return rhs(u, t)
-
-    return dataclasses.replace(sys, rhs=counted), rows
-
-
 @pytest.mark.parametrize("t_c", [33.3, 2000.0, 1e7])
 def test_window_from_a_control_time_steps_on_the_fit_partition(t_c):
     # on an absolute partition the nodes rounded to ulp(t_c): the chord matrix
@@ -82,11 +70,11 @@ def test_window_from_a_control_time_steps_on_the_fit_partition(t_c):
     sys = make_simple_model(1e18)
     tau, step = 1e-7, 2e-10
     u = sys.initial_value
-    counted_fit, fit_rows = _row_counted(sys)
+    counted_fit, fit_counts = rhs_counted(sys)
     fit = resolve_short(counted_fit, u, 0.0, tau, step)
-    counted, rows = _row_counted(sys)
+    counted, counts = rhs_counted(sys)
     window = resolve_short(counted, u, t_c, tau, step)
-    assert rows[0] == fit_rows[0] < 2 * (len(fit.times) - 1)
+    assert counts["rows"] == fit_counts["rows"] < 2 * (len(fit.times) - 1)
     np.testing.assert_array_equal(window.times, fit.times)
     np.testing.assert_array_equal(window.states, fit.states)
     gbar = measure_gbar(window, sys.seen_from(t_c), tau)
