@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage/config error or out of memory, 2 numerical failur
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import math
 import sys as _sys
@@ -366,25 +367,30 @@ def _split_overrides(extras: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-# Built once: parsing keeps no state on the parser, and building it per call
-# took about 0.5 ms, a third of what a command on the simple example spends
-# outside its numerical stages.
-_PARSER = argparse.ArgumentParser(
-    prog="modred",
-    description="Automatic model reduction for multiscale ODE systems.",
-)
-_sub = _PARSER.add_subparsers(dest="command", required=True)
-for _name in ("solve", "reduce", "estimate"):
-    _sub.add_parser(_name).add_argument("config", help="flat key = value config file")
-_example = _sub.add_parser("example")
-_example.add_argument("name", choices=sorted(_EXAMPLE_CONFIGS))
-_example.add_argument("-o", "--output", default=None)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first command and kept: parsing
+    keeps no state on it.  Building it costs about 0.5 ms per command, a
+    third of what a command on the simple example spends outside its
+    numerical stages, and about 2.5 ms the first time, which an import need
+    not pay."""
+    parser = argparse.ArgumentParser(
+        prog="modred",
+        description="Automatic model reduction for multiscale ODE systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("solve", "reduce", "estimate"):
+        sub.add_parser(name).add_argument("config", help="flat key = value config file")
+    example = sub.add_parser("example")
+    example.add_argument("name", choices=sorted(_EXAMPLE_CONFIGS))
+    example.add_argument("-o", "--output", default=None)
+    return parser
 
 
 def main(argv=None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     try:
-        args, extras = _PARSER.parse_known_args(argv)
+        args, extras = _parser().parse_known_args(argv)
     except SystemExit as err:
         return 0 if err.code == 0 else 1
 
