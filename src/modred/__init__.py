@@ -6,7 +6,7 @@ intervals, and bound the combined discretization + modeling error through a
 backward dual problem.
 """
 
-from .averaging import averaged_values, variance_values
+from .averaging import averaged_values, measure_gbar, variance_values
 from .dual import (
     ControlPoint,
     DualProblem,
@@ -37,7 +37,6 @@ from .reduction import (
     assemble_reduced,
     auto_model,
     fit_constant_subgrid,
-    measure_gbar,
     resolve_short,
 )
 from .system import (

@@ -4,8 +4,10 @@ The moving average over a window of size tau is
 
     ubar(t) = (1/tau) * integral of u(t+s) ds,  s in [-tau/2, tau/2],
 
-with a constant extension at the interval ends: for t closer than tau/2 to an
-endpoint, the value at the nearest admissible time is returned.  All integrals
+with a constant extension at the interval ends: a time outside the interior
+window [t0 + tau/2, t1 - tau/2] of a run over [t0, t1] takes the value at its
+nearest end.  ``interior`` alone decides that window, up to a slack relative to
+tau, for the variance and measure_gbar as for the fit.  All integrals
 are evaluated exactly for the stored piecewise-linear representation
 (trapezoid rule over the nodes inside the window, with the two window
 endpoints linearly interpolated), so averaging is exact for trajectories that
@@ -28,7 +30,11 @@ import numpy as np
 from .system import Array, DynamicalSystem, Trajectory, evaluate_rhs, interpolate
 
 
-def _check_window(traj: Trajectory, tau: float) -> tuple[float, float]:
+def interior(traj: Trajectory, tau: float, ts: Array) -> tuple[Array, tuple[float, float]]:
+    """Which of the times ``ts`` lie in the interior window (lo, hi) of the
+    trajectory's span, and the window; ValueError when tau is not positive or
+    does not fit inside the span.  A time within a billionth of tau outside an
+    end lies in it, so nodes that round across an end count."""
     if not tau > 0:
         raise ValueError(f"window size must be positive, got {tau}")
     t0, t1 = traj.span
@@ -37,7 +43,9 @@ def _check_window(traj: Trajectory, tau: float) -> tuple[float, float]:
             f"window tau={tau!r} does not fit inside the trajectory span "
             f"[{t0!r}, {t1!r}] of length {t1 - t0!r}"
         )
-    return t0, t1
+    lo, hi = t0 + 0.5 * tau, t1 - 0.5 * tau
+    slack = 1e-9 * tau
+    return (ts >= lo - slack) & (ts <= hi + slack), (lo, hi)
 
 
 def _segments(times: Array, values: Array) -> Array:
@@ -67,12 +75,14 @@ def _window_integrals(times: Array, values: Array, a: Array, b: Array) -> Array:
 def averaged_values(traj: Trajectory, tau: float, ts: Array) -> Array:
     """Centered moving averages over a window of size tau at the given times.
 
-    Near the trajectory ends the constant extension applies: a time closer
-    than tau/2 to an end is clamped to the nearest admissible center.
+    Near the trajectory ends the constant extension applies: a time outside
+    the interior window is clamped to its nearest end.
     """
-    t0, t1 = _check_window(traj, tau)
+    ts = np.asarray(ts, dtype=float)
+    _, (lo, hi) = interior(traj, tau, ts)
+    t0, t1 = traj.span
     half = 0.5 * tau
-    centers = np.clip(np.asarray(ts, dtype=float), t0 + half, t1 - half)
+    centers = np.clip(ts, lo, hi)
     a = np.clip(centers - half, t0, t1)
     b = np.clip(centers + half, t0, t1)
     return _window_integrals(traj.times, traj.states, a, b) / tau
@@ -81,20 +91,27 @@ def averaged_values(traj: Trajectory, tau: float, ts: Array) -> Array:
 def variance_values(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Array) -> Array:
     """The defect gbar(t) between the averaged rhs and the rhs of the average.
 
-    Requires every t in the interior region [t_start + tau/2, t_end - tau/2];
-    the boundary strips are owned by the inactivation convention of the
-    reduction step and are refused here.
+    Requires every t in the interior window; the boundary strips are owned by
+    the inactivation convention of the reduction step and are refused here.
     """
-    t0, t1 = _check_window(traj, tau)
-    half = 0.5 * tau
     ts = np.asarray(ts, dtype=float)
-    lo, hi = t0 + half, t1 - half
-    slack = 1e-9 * tau
-    if np.any(ts < lo - slack) or np.any(ts > hi + slack):
+    inside, (lo, hi) = interior(traj, tau, ts)
+    if not np.all(inside):
         raise ValueError(
             f"variance is only defined on the interior window [{lo!r}, {hi!r}]; "
             f"boundary strips are handled by inactivation, not here"
         )
+    # The average first: times that are not 1-D fail there, before any rhs call.
+    ubar = averaged_values(traj, tau, ts)
     f_traj = Trajectory(traj.times, evaluate_rhs(sys, traj.states, traj.times))
-    f_avg = averaged_values(f_traj, tau, ts)
-    return f_avg - evaluate_rhs(sys, averaged_values(traj, tau, ts), ts)
+    return averaged_values(f_traj, tau, ts) - evaluate_rhs(sys, ubar, ts)
+
+
+def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Array:
+    """Time-averaged variance over the interior window of a resolved run."""
+    inside, _ = interior(resolved, tau, resolved.times)
+    ts = resolved.times[inside]
+    if len(ts) < 2:
+        raise ValueError("resolved run too short to measure the variance")
+    gbar = variance_values(resolved, sys, tau, ts)
+    return trapezoid(ts, gbar) / (ts[-1] - ts[0])

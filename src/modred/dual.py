@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import trapezoid
+from .averaging import measure_gbar, trapezoid
 from .integrator import BLOCK_CROSSOVER, TimePartition, residual_samples
 # Imported only as a rebinding target of perfbench/tracing.py.
 from .integrator import solve_cg1  # noqa: F401
-from .reduction import SubgridModel, measure_gbar, resolve_short
+from .reduction import SubgridModel, resolve_short
 from .system import (
     INTERPOLATE_BLOCK,
     Array,

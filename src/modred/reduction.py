@@ -6,8 +6,8 @@ The resolved run covers 2*tau at a fixed step, from t = 0 for the fit and from
 each control point t_c, always on the local partition of [0, 2*tau] with the
 system seen from its start (rhs and Jacobian called at t_c + s); the fitted
 SubgridModel carries tau and the step, so control points resolve on exactly
-the steps of the fit.  Averages are only interior-valid tau/2 away from each
-end, so the fit window is the maximal centered window [tau/2, 3*tau/2].  A component is inactivated (frozen) when
+the steps of the fit.  The fit window is the run's interior window, which the
+averaging module decides: [tau/2, 3*tau/2].  A component is inactivated (frozen) when
 its moving average is constant over the fit window while the unaveraged signal
 carries a macroscopic oscillation; the oscillation guard (variation dominated
 by the fast scale, amplitude above the tolerance) ensures that neither a
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import averaged_values, trapezoid, variance_values
+from .averaging import averaged_values, interior, measure_gbar, trapezoid
 from .integrator import ConvergenceError, TimePartition, solve_cg1
 from .system import Array, DynamicalSystem, EvaluationError, Trajectory, frozen_array, rhs_value
 
@@ -118,26 +118,6 @@ def resolve_short(sys: DynamicalSystem, u: Array, t: float, tau: float, step: fl
         raise EvaluationError(f"resolved run from t={t:g}, in its local time: {err}") from err
 
 
-def _window_slice(traj: Trajectory, tau: float) -> tuple[Array, tuple[float, float]]:
-    """Indices of the trajectory nodes in the interior fit window."""
-    t0, t1 = traj.span
-    lo = t0 + 0.5 * tau
-    hi = t1 - 0.5 * tau
-    slack = 1e-9 * tau
-    idx = np.flatnonzero((traj.times >= lo - slack) & (traj.times <= hi + slack))
-    return idx, (lo, hi)
-
-
-def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Array:
-    """Time-averaged variance over the interior fit window of a resolved run."""
-    idx, _ = _window_slice(resolved, tau)
-    if len(idx) < 2:
-        raise ValueError("resolved run too short to measure the variance")
-    ts = resolved.times[idx]
-    gbar = variance_values(resolved, sys, tau, ts)
-    return trapezoid(ts, gbar) / (ts[-1] - ts[0])
-
-
 def _check_resolution(u: Array, check: Array) -> float:
     """Smallest estimated nodes-per-period among the checked components.
 
@@ -159,16 +139,18 @@ def fit_constant_subgrid(
     oscillates are marked inactive (along with their declared velocity
     partners) and carry a zero constant.
     """
-    idx, (lo, hi) = _window_slice(resolved, tau)
-    if len(idx) < MIN_WINDOW_NODES:
+    inside, (lo, hi) = interior(resolved, tau, resolved.times)
+    window_times = resolved.times[inside]
+    if len(window_times) < MIN_WINDOW_NODES:
         raise ValueError(
-            f"only {len(idx)} resolved nodes in the fit window "
+            f"only {len(window_times)} resolved nodes in the fit window "
             f"[{lo:g}, {hi:g}]; need at least {MIN_WINDOW_NODES}"
         )
-    window_times = resolved.times[idx]
-    u = resolved.states[idx]
+    u = resolved.states[inside]
 
-    ubar = averaged_values(resolved, tau, window_times)
+    # ubar on the window, then at its left edge: the reduced start, ubar(0) by the constant extension.
+    ubar_and_start = averaged_values(resolved, tau, np.append(window_times, lo))
+    ubar, start = ubar_and_start[:-1], ubar_and_start[-1]
     scale = np.maximum(1.0, np.max(np.abs(ubar), axis=0))
     amplitude = np.max(np.abs(u - ubar), axis=0)
     macroscopic = amplitude > INACTIVE_TOL * scale
@@ -186,7 +168,7 @@ def fit_constant_subgrid(
     # window halves, relative to max(1, |ubar|).  The attenuated remainder of
     # a fast oscillation averages out within each half, while a component that
     # genuinely moves on the window scale does not.
-    half = len(idx) // 2
+    half = len(window_times) // 2
     drift = np.abs(np.mean(ubar[half:], axis=0) - np.mean(ubar[:half], axis=0))
     constant_average = drift <= INACTIVE_TOL * scale
 
@@ -219,8 +201,6 @@ def fit_constant_subgrid(
 
     frozen_value = trapezoid(window_times, ubar) / (window_times[-1] - window_times[0])
     deviation = np.where(inactive, np.max(np.abs(ubar - frozen_value), axis=0), 0.0)
-    # ubar at the window's left edge equals ubar(0) under the constant extension.
-    start = averaged_values(resolved, tau, np.array([lo]))[0]
 
     return SubgridModel(
         constants=constants,

@@ -225,9 +225,12 @@ def interpolate(times: Array, values: Array, ts: Array) -> tuple[Array, Array]:
     """Piecewise-linear interpolation of nodal ``values`` at the times ``ts``.
 
     Returns the index of each time's interval (its left node) and the
-    interpolated rows.  A time outside [times[0], times[-1]] raises ValueError.
+    interpolated rows.  Times that are not 1-D, or a time outside
+    [times[0], times[-1]], raise ValueError.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"times of shape {ts.shape}, expected a 1-D array")
     t0, t1 = float(times[0]), float(times[-1])
     outside = ts[~((ts >= t0) & (ts <= t1))]
     if len(outside):

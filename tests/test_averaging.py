@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import modred.averaging
 from conftest import linear_system
-from modred import DynamicalSystem, Trajectory, averaged_values, variance_values
+from modred import (
+    DynamicalSystem,
+    Trajectory,
+    averaged_values,
+    fit_constant_subgrid,
+    measure_gbar,
+    variance_values,
+)
+from modred.averaging import interior
 
 
 def _cosine_trajectory(omega, t_end, nodes_per_period, components=1):
@@ -158,3 +167,68 @@ def test_variance_exact_for_affine_data(rng):
     np.testing.assert_allclose(
         variance_values(traj, sys, 1.0, [1.0, 2.0, 3.0]), np.zeros((3, 2)), atol=1e-13
     )
+
+
+@pytest.mark.parametrize("ts", [0.5, [[0.5]]], ids=["scalar", "2-D"])
+def test_times_that_are_not_1d_fail_before_any_rhs_call(ts):
+    calls = []
+
+    def rhs(u, t):
+        calls.append(t)
+        return u
+
+    sys = DynamicalSystem(1, rhs, np.zeros(1))
+    traj = Trajectory(np.linspace(0, 1, 11), np.linspace(0, 1, 11)[:, None])
+    with pytest.raises(ValueError, match=r"times of shape"):
+        averaged_values(traj, 0.4, ts)
+    with pytest.raises(ValueError, match=r"times of shape"):
+        variance_values(traj, sys, 0.4, ts)
+    assert calls == []
+
+
+def _reference_window_nodes(traj, tau):
+    """The interior-window node rule the fit has always selected by: the
+    reference that the averaging module's one rule must reproduce."""
+    t0, t1 = traj.span
+    lo = t0 + 0.5 * tau
+    hi = t1 - 0.5 * tau
+    slack = 1e-9 * tau
+    return np.flatnonzero((traj.times >= lo - slack) & (traj.times <= hi + slack))
+
+
+def test_interior_window_keeps_the_reference_node_rule(monkeypatch):
+    # nodes 0.5 and 2 slacks (1e-9 * tau) inside and outside both window ends
+    tau = 0.4
+    lo, hi = 0.5 * tau, 1.0 - 0.5 * tau
+    offsets = np.array([-2.0, -0.5, 0.5, 2.0]) * 1e-9 * tau
+    times = np.sort(np.concatenate(([0.0, 0.1, 0.5, 0.9, 1.0], lo + offsets, hi + offsets)))
+    traj = Trajectory(times, np.sin(3 * times)[:, None])
+    sys = DynamicalSystem(1, lambda u, t: u**2, np.zeros(1))
+    reference = _reference_window_nodes(traj, tau)
+    # half a slack outside an end is in, two slacks outside are out
+    assert len(reference) == 7
+    assert times[reference[0]] == lo + offsets[1] and times[reference[-1]] == hi + offsets[2]
+
+    inside, window = interior(traj, tau, times)
+    np.testing.assert_array_equal(np.flatnonzero(inside), reference)
+    assert window == (lo, hi)
+    for i, t in enumerate(times):
+        if i in reference:
+            variance_values(traj, sys, tau, [t])
+        else:
+            with pytest.raises(ValueError, match="interior window"):
+                variance_values(traj, sys, tau, [t])
+
+    # measure_gbar and the fit select the same nodes
+    seen = []
+    variance = modred.averaging.variance_values
+
+    def spy(traj_, sys_, tau_, ts):
+        seen.append(ts)
+        return variance(traj_, sys_, tau_, ts)
+
+    monkeypatch.setattr(modred.averaging, "variance_values", spy)
+    measure_gbar(traj, sys, tau)
+    np.testing.assert_array_equal(seen[0], times[reference])
+    with pytest.raises(ValueError, match=r"only 7 resolved nodes in the fit window \[0\.2, 0\.8\]"):
+        fit_constant_subgrid(traj, sys, tau, 0.1)

@@ -28,7 +28,7 @@ from modred import (
     validate_at_control_points,
 )
 from modred.integrator import BLOCK_CROSSOVER
-from modred.reduction import measure_gbar
+from modred.averaging import measure_gbar
 from modred.system import INTERPOLATE_BLOCK
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)

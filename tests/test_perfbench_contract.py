@@ -39,11 +39,32 @@ def test_traced_pipeline_records_every_wrapped_layer(tracing, tmp_path):
     with tracing.instrument(tracer):
         assert modred.cli.main(["reduce", str(cfg)]) == 0
         assert modred.cli.main(["estimate", str(cfg)]) == 0
-    names = {sp.name for sp in tracer.spans}
-    for name in ("reduction.resolve_short", "dual.measure_gbar", "dual.solve_dual"):
-        assert name in names
+    # every stage the two commands run records its span, so a refactor that
+    # routes a stage around its traced name fails here
+    stages = {
+        "problems.build",
+        "reduction.auto_model",
+        "reduction.resolve_short",
+        "reduction.fit_constant_subgrid",
+        "integrator.solve_cg1",
+        "problems.observables",
+        "cli.write_csv",
+        "reduction.parse_model_report",
+        "cli.read_csv",
+        "reduction.assemble_reduced",
+        "dual.solve_dual",
+        "dual.control_points",
+        "dual.measure_gbar",
+        "dual.error_estimate",
+        "integrator.residual_samples",
+    }
+    assert stages - {sp.name for sp in tracer.spans} == set()
     kinds = {sp.attrs["kind"] for sp in tracer.spans if sp.name == "integrator.solve_cg1"}
     assert kinds == {"resolved", "reduced"}
+    # one gbar measurement per control point, inside the control-point stage
+    (control,) = [sp for sp in tracer.spans if sp.name == "dual.control_points"]
+    measures = [sp for sp in tracer.spans if sp.name == "dual.measure_gbar"]
+    assert [sp.parent for sp in measures] == [control.id] * 2
     assert tracing.rhs_calls(tracer.spans) > 0
     # the dual evaluates each step's Jacobian through the name the tracer wraps
     (dual,) = [sp for sp in tracer.spans if sp.name == "dual.solve_dual"]

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import modred.averaging
 from conftest import forced_oscillator, linear_system, rhs_counted
 from modred import (
     DynamicalSystem,
@@ -15,10 +17,11 @@ from modred import (
     evaluate_rhs,
     fit_constant_subgrid,
     make_simple_model,
+    measure_gbar,
     resolve_short,
     solve_cg1,
 )
-from modred.reduction import format_model_report, measure_gbar, parse_model_report
+from modred.reduction import format_model_report, parse_model_report
 
 
 def test_unresolved_window_names_the_contraction_estimate():
@@ -58,6 +61,37 @@ def test_resolve_short_exponential_endpoint():
     traj = resolve_short(sys, sys.initial_value, 0.0, 0.5, 0.002)
     np.testing.assert_allclose(traj.times[-1], 1.0)
     assert abs(traj.states[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-4
+
+
+def test_a_window_longer_than_the_run_fails_in_the_averaging_check(stiff_modeling):
+    # the fit reported "only 0 resolved nodes in the fit window [5e-07, -3e-07]"
+    # and measure_gbar "resolved run too short"; both now name tau and the span
+    sys, _, _, resolved = stiff_modeling
+    message = re.escape("window tau=1e-06 does not fit inside the trajectory span [0.0, 2e-07]")
+    with pytest.raises(ValueError, match=message):
+        fit_constant_subgrid(resolved, sys, 1e-6, 2e-10)
+    with pytest.raises(ValueError, match=message):
+        measure_gbar(resolved, sys, 1e-6)
+
+
+def test_a_fit_averages_its_run_three_times_and_a_control_point_twice(stiff_modeling, monkeypatch):
+    # ubar on the window and at its left edge (the reduced start) share one
+    # call; measure_gbar averages f(u) and u once each
+    sys, _, model, resolved = stiff_modeling
+    calls = []
+    integrals = modred.averaging._window_integrals
+
+    def counted(*args):
+        calls.append(args)
+        return integrals(*args)
+
+    monkeypatch.setattr(modred.averaging, "_window_integrals", counted)
+    refit = fit_constant_subgrid(resolved, sys, model.tau, model.resolved_step)
+    assert len(calls) == 3
+    assert format_model_report(refit) == format_model_report(model)
+    calls.clear()
+    measure_gbar(resolved, sys, model.tau)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("t_c", [33.3, 2000.0, 1e7])

@@ -220,6 +220,14 @@ def test_interpolate_outside_domain():
         _interpolate_rows(traj, [np.nan])
 
 
+@pytest.mark.parametrize("ts", [0.5, [[0.5]]], ids=["scalar", "2-D"])
+def test_interpolate_refuses_times_that_are_not_1d(ts):
+    # a scalar time raised IndexError, and [[0.5]] returned a 3-D array
+    traj = Trajectory([0.0, 1.0], [[0.0], [2.0]])
+    with pytest.raises(ValueError, match=re.escape(f"times of shape {np.shape(ts)}, expected a 1-D array")):
+        _interpolate_rows(traj, ts)
+
+
 def test_interpolate_exact_for_affine(rng):
     a = rng.normal(size=3)
     b = rng.normal(size=3)
