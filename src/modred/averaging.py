@@ -102,16 +102,25 @@ def variance_values(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Arra
             f"boundary strips are handled by inactivation, not here"
         )
     # The average first: times that are not 1-D fail there, before any rhs call.
-    ubar = averaged_values(traj, tau, ts)
+    return _defect(traj, sys, tau, ts, averaged_values(traj, tau, ts))
+
+
+def _defect(traj: Trajectory, sys: DynamicalSystem, tau: float, ts: Array, ubar: Array) -> Array:
+    """gbar at the interior times ts, given the moving average ubar there."""
     f_traj = Trajectory(traj.times, evaluate_rhs(sys, traj.states, traj.times))
     return averaged_values(f_traj, tau, ts) - evaluate_rhs(sys, ubar, ts)
 
 
-def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float) -> Array:
-    """Time-averaged variance over the interior window of a resolved run."""
+def measure_gbar(resolved: Trajectory, sys: DynamicalSystem, tau: float, ubar: Array | None = None) -> Array:
+    """Time-averaged variance over the interior window of a resolved run.
+
+    ``ubar`` is the run's moving average at its interior nodes when the
+    caller has it already (the fit does), so the run is not averaged again.
+    """
     inside, _ = interior(resolved, tau, resolved.times)
     ts = resolved.times[inside]
     if len(ts) < 2:
         raise ValueError("resolved run too short to measure the variance")
-    gbar = variance_values(resolved, sys, tau, ts)
-    return trapezoid(ts, gbar) / (ts[-1] - ts[0])
+    if ubar is None:
+        ubar = averaged_values(resolved, tau, ts)
+    return trapezoid(ts, _defect(resolved, sys, tau, ts, ubar)) / (ts[-1] - ts[0])

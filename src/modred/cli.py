@@ -10,7 +10,8 @@ Commands:
 Configs are flat `key = value` text files; any key can be overridden on the
 command line with `--key value`.  Outputs are deterministic: identical config
 and build give byte-identical files (floats are printed with 17 significant
-digits, which round-trips binary64 exactly).
+digits, which round-trips binary64 exactly).  An existing output file is
+overwritten in place, keeping its inode, links and permissions.
 
 Exit codes: 0 success, 1 usage/config error or out of memory, 2 numerical failure.
 """
@@ -18,9 +19,12 @@ Exit codes: 0 success, 1 usage/config error or out of memory, 2 numerical failur
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.util
 import math
+import os
+import stat
 import sys as _sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -49,7 +53,7 @@ from .reduction import (
     format_model_report,
     parse_model_report,
 )
-from .system import DynamicalSystem, Trajectory
+from .system import DynamicalSystem, Trajectory, evaluate_rhs, jacobian
 
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
@@ -158,7 +162,43 @@ def _load_external_system(path: str) -> DynamicalSystem:
         raise ValueError(f"problem file {path!r}: {type(err).__name__}: {err}") from err
     if not isinstance(sys_obj, DynamicalSystem):
         raise ValueError("make_system() must return a DynamicalSystem")
+    _check_stack_promises(sys_obj, path)
     return sys_obj
+
+
+def _check_stack_promises(system: DynamicalSystem, path: str) -> None:
+    """ValueError unless a vectorized system's rhs, and its analytic Jacobian
+    when it has one, give a stack of three states (u0 and two perturbations
+    of it, at three times) bit for bit the values of per-state calls."""
+    if not system.vectorized:
+        return
+    u0, n = system.initial_value, system.dimension
+    wiggle = 1e-3 * np.maximum(np.abs(u0), 1.0) * np.cos(1.0 + np.arange(n))
+    states = u0 + np.outer([0.0, 1.0, -0.5], wiggle)
+    times = np.array([0.0, 0.5, 1.0])
+    per_state = replace(system, vectorized=False)
+    kernels = [("rhs", evaluate_rhs)]
+    if system.jacobian is not None:
+        kernels.append(("jacobian", jacobian))
+    for name, kernel in kernels:
+        rows = kernel(per_state, states, times)
+        try:
+            stacked = kernel(system, states, times)
+        except Exception as err:
+            # A stack the problem file's code cannot take is a broken promise, whatever it raises.
+            raise ValueError(
+                f"problem file {path!r}: vectorized {name} fails on a stack of 3 states: "
+                f"{type(err).__name__}: {err}"
+            ) from err
+        bits = stacked.view(np.int64) != rows.view(np.int64)
+        differs = np.flatnonzero(bits.reshape(len(times), -1).any(axis=1))
+        if len(differs):
+            row = int(differs[0])
+            raise ValueError(
+                f"problem file {path!r}: vectorized {name} on a stack of 3 states differs "
+                f"from its per-state value at row {row} (t={float(times[row])!r}); every row of a "
+                f"stack must equal the single-state call bit for bit"
+            )
 
 
 def build_system(cfg: RunConfig) -> tuple[DynamicalSystem, LatticeSpec | None]:
@@ -196,12 +236,31 @@ def _observable_columns(cfg: RunConfig, spec: LatticeSpec | None, traj: Trajecto
     return [(name, OBSERVABLES[name](traj.states, spec)) for name in cfg.observable_names()]
 
 
+@contextlib.contextmanager
+def _overwritten(path: str):
+    """A text file that writes over ``path`` in place: the old bytes are
+    overwritten and what is left of them is cut off at the end, so the file
+    keeps its inode, links and permissions.  Truncating on open instead makes
+    some file systems (ext4's auto_da_alloc) flush the new data on close, a
+    stall of up to tens of milliseconds per file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # A pipe or a device, such as /dev/stdout, has no old bytes and refuses truncate.
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    with open(fd, "w") as fh:
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
+
+
 def write_csv(path: str, traj: Trajectory, extra_columns=()) -> None:
     """CSV with header t,u_1,...,u_N (plus observables), 17 significant digits."""
     names = ["t"] + [f"u_{i + 1}" for i in range(traj.dimension)]
     names += [name for name, _ in extra_columns]
     data = np.column_stack([traj.times, traj.states, *(col for _, col in extra_columns)])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    with _overwritten(path) as fh:
+        np.savetxt(fh, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
 
 
 def read_csv(path: str, dimension: int) -> Trajectory:
@@ -222,7 +281,8 @@ def _write_plot_script(path: str, csv_path: str, n_columns: int) -> None:
         "set xlabel 't'",
         f"plot for [col=2:{n_columns}] '{csv_path}' using 1:col with lines",
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _overwritten(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -244,7 +304,8 @@ def cmd_reduce(cfg: RunConfig) -> int:
     csv_path = f"{cfg.output}.csv"
     write_csv(csv_path, traj, _observable_columns(cfg, spec, traj))
     model_path = f"{cfg.output}.model.txt"
-    Path(model_path).write_text(format_model_report(model))
+    with _overwritten(model_path) as fh:
+        fh.write(format_model_report(model))
     _write_plot_script(
         f"{cfg.output}.gnuplot", csv_path, 1 + traj.dimension + len(cfg.observable_names())
     )
@@ -303,8 +364,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
     est = error_estimate(traj, reduced, model, phi, points)
 
     est_path = f"{cfg.output}.estimate.txt"
-    Path(est_path).write_text(format_estimate_report(est))
-    Path(f"{cfg.output}.controls.txt").write_text(format_control_report(model, points))
+    with _overwritten(est_path) as fh:
+        fh.write(format_estimate_report(est))
+    with _overwritten(f"{cfg.output}.controls.txt") as fh:
+        fh.write(format_control_report(model, points))
     print(
         f"[estimate] S0={est.S0:.4g} S1={est.S1:.4g} disc={est.disc_term:.4g} "
         f"model={est.model_term:.4g} total={est.total:.4g} -> {est_path}"
@@ -348,7 +411,8 @@ observables = diameter,d_small
 def cmd_example(name: str, output: str | None) -> int:
     text = _EXAMPLE_CONFIGS[name]
     if output:
-        Path(output).write_text(text)
+        with _overwritten(output) as fh:
+            fh.write(text)
         print(f"[example] wrote {output}")
     else:
         _sys.stdout.write(text)

@@ -67,10 +67,13 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
 
     Substituting s = T - t turns the problem into a forward linear system,
     which is stepped with cG(1); since the system is linear in phi, each
-    midpoint step is solved directly: below BLOCK_CROSSOVER components by one
-    stacked solve per interpolation block for the propagators (I - hA)^-1
-    (I + hA), hA = (k/2) J^T; from BLOCK_CROSSOVER on, step by step over the
-    live block alone.  The returned trajectory is oriented forward in t.
+    midpoint step is solved directly.  Below BLOCK_CROSSOVER components each
+    interpolation block takes its midpoint Jacobians as one stack (one call
+    of a vectorized analytic Jacobian) and its propagators (I - hA)^-1
+    (I + hA), hA = (k/2) J^T, from one stacked solve, then applies them step
+    by step; from BLOCK_CROSSOVER on, each step evaluates its Jacobian and
+    solves over the live block alone.  The returned trajectory is oriented
+    forward in t.
     """
     if not 0 < step < np.inf:
         raise ValueError("dual step must be positive and finite")
@@ -90,10 +93,7 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
             _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
             half_k = 0.5 * np.diff(s_nodes[lo - 1 : hi])
             if n < BLOCK_CROSSOVER:
-                hA = np.empty((hi - lo, n, n))
-                for i, (u, t) in enumerate(zip(u_mids, t_mids)):
-                    hA[i] = jacobian(dp.sys, u, float(t)).T
-                hA *= half_k[:, None, None]
+                hA = jacobian(dp.sys, u_mids, t_mids).transpose(0, 2, 1) * half_k[:, None, None]
                 for j, P in zip(range(lo, hi), np.linalg.solve(eye - hA, eye + hA)):
                     phi[j] = P @ phi[j - 1]
                 continue

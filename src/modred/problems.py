@@ -24,7 +24,7 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
 
     started from (0, 1, 0, 0).  The stiff oscillator u2 and its velocity u4
     are declared as an oscillator pair for the inactivation rule.  The rhs
-    takes one state or a stack of them.
+    and the Jacobian take one state or a stack of them.
     """
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
@@ -34,7 +34,7 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
         u1, u2, u3, u4 = u.tolist() if u.ndim == 1 else u.T
         return np.array([u3, u4, -u1 + 0.5 * u2 * u2, -kappa * u2]).T
 
-    # Entry (2, 1) is u2, set on a fresh copy per call.
+    # Entry (2, 1) is u2, set on a fresh copy per state.
     jac_template = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -45,8 +45,8 @@ def make_simple_model(kappa: float) -> DynamicalSystem:
     )
 
     def jac(u, t):
-        J = jac_template.copy()
-        J[2, 1] = u[1]
+        J = np.tile(jac_template, (*u.shape[:-1], 1, 1))
+        J[..., 2, 1] = u[..., 1]
         return J
 
     return DynamicalSystem(
@@ -175,8 +175,9 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
 
     Both kernels scatter with one np.bincount, which adds in input order from
     0.0: bit for bit the sums np.add.at makes over the a-ends, then the b-ends.
-    The rhs takes one state or a stack of them; row r of a stack scatters into
-    its own bins r * n_pos + c, in the order of a single state.
+    Both take one state or a stack of them; row r of a stack scatters into
+    its own bins, offset by r times the bins of one state, in the order of a
+    single state.
     """
     positions, ia, ib, rest = _lattice_geometry(spec)
     n_masses = spec.n_large + spec.n_small
@@ -194,6 +195,7 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     rows = n_pos + 2 * block_rows[:, :, None, None] + coord[None, None, :, None]
     cols = 2 * block_cols[:, :, None, None] + coord[None, None, None, :]
     jac_index = (rows * (2 * n_pos) + cols).ravel()
+    jac_size = 4 * n_pos**2
     block_sign = np.array([-1.0, 1.0, 1.0, -1.0])[None, :, None, None]
     # Flat force index of each spring end's (x, y), all a-ends then all b-ends.
     force_index = (2 * np.concatenate([ia, ib])[:, None] + coord).ravel()
@@ -202,7 +204,8 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     ends = (2 * np.concatenate([ib, ia])[:, None] + coord).ravel()
     n_sep = 2 * len(ia)
     coord_masses = np.repeat(masses, 2)
-    velocity_diagonal = (np.arange(n_pos), n_pos + np.arange(n_pos))
+    # Entries (i, n_pos + i) of every Jacobian in a stack.
+    velocity_diagonal = (slice(None), np.arange(n_pos), n_pos + np.arange(n_pos))
 
     u0_pos = positions.copy()
     disp = spec.displacement * np.array([-1.0, 1.0]) / np.sqrt(2.0)
@@ -231,15 +234,19 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
         return np.concatenate([stack[:, n_pos:], force / coord_masses], axis=1).reshape(u.shape)
 
     def jac(u, t):
-        d, length = springs(u)
+        stack = u.reshape(-1, 2 * n_pos)
+        n_rows = len(stack)
+        d, length = springs(stack)
         ratio = rest / length
-        B = (kappa * ratio / (length * length))[:, None, None] * (d[:, :, None] * d[:, None, :])
-        B[:, 0, 0] += kappa * (1.0 - ratio)
-        B[:, 1, 1] += kappa * (1.0 - ratio)
-        J = np.bincount(jac_index, (block_sign * B[:, None]).ravel(), 4 * n_pos**2).reshape(2 * n_pos, -1)
-        J[n_pos:] /= coord_masses[:, None]
+        B = (kappa * ratio / (length * length))[..., None, None] * (d[..., :, None] * d[..., None, :])
+        B[..., 0, 0] += kappa * (1.0 - ratio)
+        B[..., 1, 1] += kappa * (1.0 - ratio)
+        index = jac_index if n_rows == 1 else jac_index + jac_size * np.arange(n_rows)[:, None]
+        J = np.bincount(index.ravel(), (block_sign * B[:, :, None]).ravel(), n_rows * jac_size)
+        J = J.reshape(n_rows, 2 * n_pos, 2 * n_pos)
+        J[:, n_pos:] /= coord_masses[:, None]
         J[velocity_diagonal] = 1.0
-        return J
+        return J.reshape(*u.shape, -1)
 
     pairs = tuple(
         (2 * spec.n_large + c, n_pos + 2 * spec.n_large + c)

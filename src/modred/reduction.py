@@ -186,7 +186,7 @@ def fit_constant_subgrid(
             inactive[vel] = True
     active = ~inactive
 
-    constants = measure_gbar(resolved, sys, tau)
+    constants = measure_gbar(resolved, sys, tau, ubar)
     constants[inactive] = 0.0
 
     # Sign the amplitudes with the oscillation phase at the largest collective
@@ -218,8 +218,8 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
     stacks of states when the base system does.
 
     Its initial value is the model's averaged start state, and its Jacobian
-    (analytic when the base system has one) carries zero rows for frozen
-    components.
+    (analytic when the base system has one, and taking stacks when the base
+    one does) carries zero rows for frozen components.
     """
     if model.dimension != sys.dimension:
         raise ValueError("model dimension does not match the system")
@@ -243,7 +243,7 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
 
         def reduced_jac(u, t):
             J = np.array(base_jac(u, t), dtype=float)
-            J[frozen, :] = 0.0
+            J[..., frozen, :] = 0.0
             return J
 
     return DynamicalSystem(

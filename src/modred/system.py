@@ -50,7 +50,10 @@ class DynamicalSystem:
     oscillator components, used by the model-reduction inactivation rule.
     A ``vectorized`` system's rhs also takes a stack: states of shape
     (rows, dimension) at times of shape (rows,), returning (rows, dimension)
-    with every row bit for bit its single-state value.
+    with every row bit for bit its single-state value.  Its analytic
+    Jacobian, if given, takes the same stack and returns
+    (rows, dimension, dimension), every slice bit for bit its single-state
+    value.
     """
 
     dimension: int
@@ -91,7 +94,8 @@ class DynamicalSystem:
     def seen_from(self, t0: float) -> DynamicalSystem:
         """The system on a local clock s = t - t0: its rhs and Jacobian are
         called at t0 + s, so a window solved on [0, 2*tau] from any t0 has the
-        steps of one solved from 0.  At t0 == 0 the system itself."""
+        steps of one solved from 0; a stack of states at times s passes
+        through.  At t0 == 0 the system itself."""
         if t0 == 0.0:
             return self
         rhs, jac = self.rhs, self.jacobian
@@ -147,25 +151,36 @@ def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     return out
 
 
-def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
-    """Jacobian of the right-hand side at (u, t).
+def jacobian(sys: DynamicalSystem, u: Array, t: float | Array) -> Array:
+    """Jacobian of the right-hand side at (u, t): N x N for one state, and
+    (rows, N, N) for a stack of states (rows, N) at times (rows,).
 
     Uses the analytic Jacobian when present, otherwise central finite
     differences with steps h_j = FD_EPS_REL * max(|u_j|, 1), whose 2N
-    perturbed states go through evaluate_rhs as one batch.  Either way a
-    non-finite entry raises EvaluationError naming the first bad (i, j).
+    perturbed states go through evaluate_rhs as one batch.  A vectorized
+    system's analytic Jacobian takes a stack in one call; in every other case
+    the rows go through the single-state path one at a time.  Either way a
+    non-finite entry raises EvaluationError naming its t and first bad (i, j).
     """
     u = np.asarray(u, dtype=float)
+    n = sys.dimension
+    if u.ndim == 2:
+        t = np.asarray(t, dtype=float)
+        if t.shape != u.shape[:1]:
+            raise ValueError(f"states of shape {u.shape} for times of shape {t.shape}")
+        if not (sys.vectorized and sys.jacobian is not None):
+            out = np.empty((len(u), n, n))
+            for i, (row, s) in enumerate(zip(u, t.tolist())):
+                out[i] = jacobian(sys, row, s)
+            return out
     if sys.jacobian is not None:
         kind = "analytic"
         J = np.asarray(sys.jacobian(u, t), dtype=float)
-        if J.shape != (sys.dimension, sys.dimension):
-            raise ValueError(
-                f"jacobian returned shape {J.shape}, expected square of size {sys.dimension}"
-            )
+        shape = (*u.shape[:-1], n, n)
+        if J.shape != shape:
+            raise ValueError(f"jacobian returned shape {J.shape}, expected {shape}")
     else:
         kind = "finite-difference"
-        n = sys.dimension
         h = FD_EPS_REL * np.maximum(np.abs(u), 1.0)
         # Rows u + h_j e_j, then u - h_j e_j, taken as one batch.
         states = np.tile(u, (2, n, 1))
@@ -178,8 +193,9 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float) -> Array:
         with np.errstate(over="ignore"):
             J = np.ascontiguousarray(((f[:n] - f[n:]) / (2.0 * h)[:, None]).T)
     if not np.isfinite(J).all():
-        i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(J)))
-        raise EvaluationError(f"{kind} Jacobian entry ({i}, {j}) is non-finite at t={t!r}")
+        *row, i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(J)))
+        at = float(t[row[0]]) if row else t
+        raise EvaluationError(f"{kind} Jacobian entry ({i}, {j}) is non-finite at t={at!r}")
     return J
 
 

@@ -40,9 +40,15 @@ KERNELS = {("system.py", "DynamicalSystem"), ("system.py", "evaluate_rhs")}
 # ``evaluate_rhs``.
 RHS_READERS = KERNELS | {("integrator.py", "solve_cg1"), ("reduction.py", "assemble_reduced")}
 
-# Only ``evaluate_rhs`` decides whether rows go to the rhs one by one or in
-# stacks; the reduced system merely passes its base system's flag on.
-VECTORIZED_READERS = KERNELS | {("reduction.py", "assemble_reduced")}
+# Only ``evaluate_rhs`` and ``jacobian`` decide whether rows go to the rhs or
+# the Jacobian one by one or in stacks; the reduced system merely passes its
+# base system's flag on, and the CLI checks an external system's stacks
+# against its rows when it loads one.
+VECTORIZED_READERS = KERNELS | {
+    ("system.py", "jacobian"),
+    ("reduction.py", "assemble_reduced"),
+    ("cli.py", "_check_stack_promises"),
+}
 
 
 def _attribute_reads(attr, allowed):

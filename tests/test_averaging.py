@@ -221,13 +221,13 @@ def test_interior_window_keeps_the_reference_node_rule(monkeypatch):
 
     # measure_gbar and the fit select the same nodes
     seen = []
-    variance = modred.averaging.variance_values
+    defect = modred.averaging._defect
 
-    def spy(traj_, sys_, tau_, ts):
+    def spy(traj_, sys_, tau_, ts, ubar):
         seen.append(ts)
-        return variance(traj_, sys_, tau_, ts)
+        return defect(traj_, sys_, tau_, ts, ubar)
 
-    monkeypatch.setattr(modred.averaging, "variance_values", spy)
+    monkeypatch.setattr(modred.averaging, "_defect", spy)
     measure_gbar(traj, sys, tau)
     np.testing.assert_array_equal(seen[0], times[reference])
     with pytest.raises(ValueError, match=r"only 7 resolved nodes in the fit window \[0\.2, 0\.8\]"):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -542,3 +544,100 @@ def test_estimate_with_T_too_short_for_control_points_fails_before_the_dual(tmp_
     assert run_cli("estimate", cfg, "--T", "3e-7") == 1
     assert "T too short for control points (need T > 4 * tau)" in capsys.readouterr().err
     assert not (tmp_path / "short.estimate.txt").exists()
+
+
+_VECTORIZED_PROBLEM = """
+import numpy as np
+from modred import DynamicalSystem
+
+def rhs(u, t):
+    x, v = u[..., 0], u[..., 1]
+    return np.stack([v, -x + 0.1 * np.cos({time}) * x * x], axis=-1)
+
+def jac(u, t):
+    J = np.zeros({shape})
+    J[..., 0, 1] = 1.0
+    J[..., 1, 0] = -1.0 + 0.2 * np.cos(t) * {x}
+    return J
+
+def make_system():
+    return DynamicalSystem(2, rhs, np.array([1.0, 0.0]), jacobian=jac, vectorized=True)
+"""
+_STACK_KEEPING = {"time": "t", "shape": "(*u.shape[:-1], 2, 2)", "x": "u[..., 0]"}
+
+
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        # every row takes the last row's time
+        ({"time": "np.max(t)"}, "vectorized rhs on a stack of 3 states differs from its per-state value at row 0 (t=0.0)"),
+        # written for one state: the stack's times do not fit its one matrix
+        ({"shape": "(2, 2)"}, "vectorized jacobian fails on a stack of 3 states: ValueError: could not broadcast"),
+        # every row takes the first row's state
+        ({"x": "u.flat[0]"}, "vectorized jacobian on a stack of 3 states differs from its per-state value at row 1 (t=0.5)"),
+    ],
+    ids=["rhs-drops-row-times", "jacobian-ignores-stack", "jacobian-mixes-rows"],
+)
+def test_external_system_that_breaks_a_stack_promise_is_a_config_error(tmp_path, capsys, broken, message):
+    problem = tmp_path / "blind.py"
+    problem.write_text(_VECTORIZED_PROBLEM.format(**{**_STACK_KEEPING, **broken}))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n"
+        f"tau = 0.1\noutput = {tmp_path/'s'}\n",
+    )
+    for command in ("solve", "reduce"):
+        assert run_cli(command, cfg) == 1
+        err = capsys.readouterr().err
+        assert str(problem) in err and message in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_external_system_that_keeps_its_stack_promises_runs(tmp_path):
+    problem = tmp_path / "stacked.py"
+    problem.write_text(_VECTORIZED_PROBLEM.format(**_STACK_KEEPING))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 5\ntau = 0.5\n"
+        f"reduced_step = 0.01\ncontrol_points = 1\noutput = {tmp_path/'s'}\n",
+    )
+    assert run_cli("reduce", cfg) == 0
+    assert run_cli("estimate", cfg) == 0
+
+
+def test_example_config_goes_to_a_device_or_a_pipe(capfd):
+    # neither can be truncated, and neither has old bytes to cut off
+    assert run_cli("example", "simple", "-o", os.devnull) == 0
+    read, write = os.pipe()
+    try:
+        assert run_cli("example", "simple", "-o", f"/dev/fd/{write}") == 0
+    finally:
+        os.close(write)
+    with os.fdopen(read) as fh:
+        assert fh.read() == modred.cli._EXAMPLE_CONFIGS["simple"]
+    assert "error" not in capfd.readouterr().err
+
+
+def test_artifacts_are_overwritten_in_place(tmp_path, monkeypatch):
+    # a longer old file, a hard link and narrow permissions: the new content
+    # replaces the old in the same inode, with nothing of the old tail left
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for out in (fresh, reused):
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert run_cli("example", "simple", "-o", "simple.cfg") == 0
+    names = [f"simple_run.{ext}" for ext in ("csv", "model.txt", "gnuplot", "estimate.txt", "controls.txt")]
+    for name in names:
+        (reused / name).write_text("old\n" * 100_000)
+        (reused / name).chmod(0o600)
+        (reused / f"link-{name}").hardlink_to(reused / name)
+    inodes = {name: (reused / name).stat().st_ino for name in names}
+    for out in (fresh, reused):
+        monkeypatch.chdir(out)
+        assert run_cli("reduce", "simple.cfg", "--T", "1") == 0
+        assert run_cli("estimate", "simple.cfg", "--T", "1") == 0
+    for name in names:
+        stat = (reused / name).stat()
+        assert (stat.st_ino, stat.st_mode & 0o777) == (inodes[name], 0o600)
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        assert (reused / f"link-{name}").read_bytes() == (fresh / name).read_bytes()

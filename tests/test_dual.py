@@ -224,10 +224,26 @@ def _reduced_lattice_dual_problem():
 @pytest.mark.parametrize("step", [0.01, 0.007])
 def test_dual_matches_per_step_reference_exactly(step):
     # more than one interpolation block, and a dual partition that does and
-    # does not coincide with the primal one; a stacked solve rounds as the
-    # per-matrix solves do
+    # does not coincide with the primal one; a stacked Jacobian gives the
+    # per-state matrices, and a stacked solve rounds as the per-matrix solves do
+    for dp in (_simple_dual_problem(), _reduced_lattice_dual_problem()):
+        assert dp.sys.dimension < BLOCK_CROSSOVER
+        np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
+
+
+def test_small_dual_takes_one_jacobian_stack_per_block(monkeypatch):
     dp = _simple_dual_problem()
-    np.testing.assert_array_equal(solve_dual(dp, step).states, _dual_reference(dp, step))
+    shapes = []
+    stacked = modred.dual.jacobian
+
+    def recorded(sys, u, t):
+        shapes.append(np.shape(u))
+        return stacked(sys, u, t)
+
+    monkeypatch.setattr(modred.dual, "jacobian", recorded)
+    steps = len(solve_dual(dp, 0.01).times) - 1
+    assert steps == 2500
+    assert shapes == [(INTERPOLATE_BLOCK, 4), (INTERPOLATE_BLOCK, 4), (steps - 2 * INTERPOLATE_BLOCK, 4)]
 
 
 @pytest.mark.parametrize("build", [_simple_dual_problem, _reduced_lattice_dual_problem])

@@ -6,11 +6,11 @@ values.  A refactor that is meant to leave the numerics alone must keep these
 hashes.  The `.gnuplot` script is left out because it embeds the output path.
 
 The same runs count every rhs and Jacobian evaluation of the problem system
-(the reduced system calls through to it).  An rhs call on a stack of states
-counts one evaluation per row, so batching rows into fewer calls leaves the
-count as it is.  The counts are deterministic, so they gate work: a change
-may lower the rhs count, never raise it.  The Jacobian count is exact: one
-per dual step (1,000 simple, 400 lattice) plus the chord-Newton Jacobian of
+(the reduced system calls through to it).  An rhs or Jacobian call on a stack
+of states counts one evaluation per row, so batching rows into fewer calls
+leaves the count as it is.  The counts are deterministic, so they gate work: a
+change may lower the rhs count, never raise it.  The Jacobian count is exact:
+one per dual step (1,000 simple, 400 lattice) plus the chord-Newton Jacobian of
 each of the six solves per pipeline (the fit window, the reduced solve and
 four control-point windows), so a hidden Jacobian refresh fails the gate.
 
@@ -60,7 +60,7 @@ def _counting_build_system(build_system, counts):
             return rhs(u, t)
 
         def counted_jacobian(u, t):
-            counts["jacobian"] += 1
+            counts["jacobian"] += len(u) if u.ndim == 2 else 1
             return jac(u, t)
 
         system = dataclasses.replace(

@@ -1,5 +1,6 @@
 """The Python examples in README.md run as written: the library quickstart,
-then the vectorized problem file."""
+then the vectorized problem file, whose rhs and Jacobian keep the stack
+contract."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modred import evaluate_rhs
+from modred import evaluate_rhs, jacobian
 from modred.system import RHS_BLOCK
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,3 +42,5 @@ def test_readme_vectorized_problem_file_keeps_the_stack_contract(blocks):
     times = np.linspace(0.0, 1.0, rows)
     per_row = np.array([sys.rhs(u, t) for u, t in zip(states, times.tolist())])
     np.testing.assert_array_equal(evaluate_rhs(sys, states, times).view(np.int64), per_row.view(np.int64))
+    per_row = np.array([sys.jacobian(u, t) for u, t in zip(states, times.tolist())])
+    np.testing.assert_array_equal(jacobian(sys, states, times).view(np.int64), per_row.view(np.int64))

@@ -74,9 +74,10 @@ def test_a_window_longer_than_the_run_fails_in_the_averaging_check(stiff_modelin
         measure_gbar(resolved, sys, 1e-6)
 
 
-def test_a_fit_averages_its_run_three_times_and_a_control_point_twice(stiff_modeling, monkeypatch):
-    # ubar on the window and at its left edge (the reduced start) share one
-    # call; measure_gbar averages f(u) and u once each
+def test_a_fit_and_a_control_point_each_average_their_run_twice(stiff_modeling, monkeypatch):
+    # the fit takes ubar on the window and at its left edge (the reduced
+    # start) in one call and hands it to measure_gbar, which averages f(u);
+    # a control point's measure_gbar averages f(u) and u once each
     sys, _, model, resolved = stiff_modeling
     calls = []
     integrals = modred.averaging._window_integrals
@@ -87,7 +88,7 @@ def test_a_fit_averages_its_run_three_times_and_a_control_point_twice(stiff_mode
 
     monkeypatch.setattr(modred.averaging, "_window_integrals", counted)
     refit = fit_constant_subgrid(resolved, sys, model.tau, model.resolved_step)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert format_model_report(refit) == format_model_report(model)
     calls.clear()
     measure_gbar(resolved, sys, model.tau)

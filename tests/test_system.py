@@ -9,7 +9,9 @@ from modred import (
     DynamicalSystem,
     EvaluationError,
     LatticeSpec,
+    SubgridModel,
     Trajectory,
+    assemble_reduced,
     evaluate_rhs,
     interpolate,
     jacobian,
@@ -187,6 +189,103 @@ def test_fd_jacobian_takes_its_states_as_batches(name, calls):
     jacobian(dataclasses.replace(sys, rhs=counted), sys.initial_value, 0.0)
     assert len(shapes) == calls
     assert sum(s[0] if len(s) == 2 else 1 for s in shapes) == 2 * sys.dimension
+
+
+def _forced_stacked():
+    """x'' = -400 x + cos(t) x**2, vectorized, with an analytic Jacobian that
+    depends on t."""
+
+    def rhs(u, t):
+        x, v = u[..., 0], u[..., 1]
+        return np.stack([v, -400.0 * x + np.cos(t) * x * x], axis=-1)
+
+    def jac(u, t):
+        J = np.zeros((*u.shape[:-1], 2, 2))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = -400.0 + 2.0 * np.cos(t) * u[..., 0]
+        return J
+
+    return DynamicalSystem(2, rhs, np.array([0.5, 0.0]), jacobian=jac, vectorized=True)
+
+
+def _stack_contract_systems():
+    """Vectorized systems with analytic Jacobians: the built-ins, their reduced
+    systems (oscillator pairs frozen), and systems seen from a later time."""
+    base = {
+        "simple": make_simple_model(1e18),
+        "lattice-p2": make_lattice(LatticeSpec(p=2, m=1e-4)),
+        "lattice-p3": make_lattice(LatticeSpec(p=3, m=1e-4)),
+    }
+    systems = {**base, "forced-seen-from": _forced_stacked().seen_from(33.3)}
+    for name, sys in base.items():
+        active = np.ones(sys.dimension, dtype=bool)
+        active[[c for pair in sys.oscillator_pairs for c in pair]] = False
+        zeros = np.zeros(sys.dimension)
+        model = SubgridModel(zeros, active, 0.1, 1e-3, zeros, zeros, sys.initial_value)
+        systems[f"{name}-reduced"] = assemble_reduced(sys, model)
+        systems[f"{name}-seen-from"] = sys.seen_from(33.3)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(_stack_contract_systems()))
+def test_stacked_jacobian_slices_equal_single_state_calls(name, rng):
+    sys = _stack_contract_systems()[name]
+    assert sys.vectorized and sys.jacobian is not None
+    rows = 5
+    states = sys.initial_value + rng.normal(scale=0.1, size=(rows, sys.dimension))
+    times = np.linspace(0.0, 2.0, rows)
+    per_state = np.array([sys.jacobian(u, t) for u, t in zip(states, times.tolist())])
+    stacked = sys.jacobian(states, times)
+    assert stacked.shape == (rows, sys.dimension, sys.dimension)
+    np.testing.assert_array_equal(stacked.view(np.int64), per_state.view(np.int64))
+    np.testing.assert_array_equal(jacobian(sys, states, times).view(np.int64), per_state.view(np.int64))
+
+
+def test_seen_from_stacks_its_jacobian_at_the_shifted_times(rng):
+    sys = _forced_stacked()
+    states = rng.normal(size=(3, 2))
+    s = np.array([0.0, 0.25, 1.0])
+    np.testing.assert_array_equal(sys.seen_from(33.3).jacobian(states, s), sys.jacobian(states, 33.3 + s))
+
+
+@pytest.mark.parametrize(
+    "vectorized,analytic,calls",
+    [(True, True, [(3, 2)]), (False, True, [(2,)] * 3), (True, False, [])],
+    ids=["vectorized-analytic", "not-vectorized", "finite-difference"],
+)
+def test_jacobian_takes_a_stack_in_one_call_only_when_vectorized_and_analytic(vectorized, analytic, calls, rng):
+    # every other system goes row by row through the single-state path
+    base = _forced_stacked()
+    seen = []
+
+    def recorded(u, t):
+        seen.append(u.shape)
+        return base.jacobian(u, t)
+
+    sys = dataclasses.replace(base, jacobian=recorded if analytic else None, vectorized=vectorized)
+    states = rng.normal(size=(3, 2))
+    times = np.array([0.0, 0.5, 2.0])
+    per_state = np.array([jacobian(sys, u, t) for u, t in zip(states, times.tolist())])
+    seen.clear()
+    np.testing.assert_array_equal(jacobian(sys, states, times).view(np.int64), per_state.view(np.int64))
+    assert seen == calls
+
+
+def test_stacked_jacobian_checks_its_shape_and_names_the_bad_row_time():
+    def infinite_late(u, t):
+        J = np.zeros((*u.shape[:-1], 2, 2))
+        J[..., 1, 0] = np.where(np.asarray(t) > 0.6, np.inf, 0.0)
+        return J
+
+    sys = DynamicalSystem(2, _rhs, np.zeros(2), jacobian=infinite_late, vectorized=True)
+    states, times = np.zeros((4, 2)), np.array([0.0, 0.5, 0.7, 1.0])
+    with pytest.raises(EvaluationError, match=re.escape("analytic Jacobian entry (1, 0) is non-finite at t=0.7")):
+        jacobian(sys, states, times)
+    with pytest.raises(ValueError, match=re.escape("states of shape (4, 2) for times of shape (3,)")):
+        jacobian(sys, states, times[:3])
+    blind = dataclasses.replace(sys, jacobian=lambda u, t: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=re.escape("jacobian returned shape (2, 2), expected (4, 2, 2)")):
+        jacobian(blind, states, times)
 
 
 def _interpolate_rows(traj, ts):
