@@ -7,7 +7,8 @@ The dual problem is the backward linear system
     -phi'(t) = J(t)^T phi(t),   phi(T) = psi,
 
 where J is the Jacobian of the right-hand side along the computed solution U
-and T is the final node of U.
+and T is the final node of U.  On the clock s = T - t it is a forward linear
+system, which solve_cg1 steps as it steps the primal, by one cG(1) method.
 The output error satisfies |(e(T), psi)| <= S1 * max ||k r|| + S0 * max
 ||g_model - g_measured||, with stability factors S0 = integral of ||phi|| and
 S1 = integral of ||phi'||.  The Jacobian is evaluated at U alone (the
@@ -25,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrator
 from .averaging import measure_gbar, trapezoid
-from .integrator import BLOCK_CROSSOVER, TimePartition, residual_samples
+from .integrator import ConvergenceError, TimePartition, residual_samples
 # Imported only as a rebinding target of perfbench/tracing.py.
 from .integrator import solve_cg1  # noqa: F401
 from .reduction import SubgridModel, resolve_short
 from .system import (
-    INTERPOLATE_BLOCK,
     Array,
     DynamicalSystem,
     Trajectory,
@@ -65,50 +66,55 @@ class DualProblem:
 def solve_dual(dp: DualProblem, step: float) -> Trajectory:
     """Integrate the dual backward from phi(T) = psi, T the primal's final time.
 
-    Substituting s = T - t turns the problem into a forward linear system,
-    which is stepped with cG(1); since the system is linear in phi, each
-    midpoint step is solved directly.  Below BLOCK_CROSSOVER components each
-    interpolation block takes its midpoint Jacobians as one stack (one call
-    of a vectorized analytic Jacobian) and its propagators (I - hA)^-1
-    (I + hA), hA = (k/2) J^T, from one stacked solve, then applies them step
-    by step; from BLOCK_CROSSOVER on, each step evaluates its Jacobian and
-    solves over the live block alone.  The returned trajectory is oriented
-    forward in t.
+    On the clock s = T - t the dual is phi' = A(s) phi, A(s) = J(u(T - s),
+    T - s)^T, which solve_cg1 steps on a uniform partition of [0, T - t0],
+    from psi scaled to largest entry 1 (the result is scaled back), so that
+    its stopping rule is relative at any scale of psi.  One helper gives the
+    system's rhs and Jacobian and keeps the last run of times it evaluated
+    with their A: a step's rhs evaluations and chord matrix share one, and a
+    block's check, Newton correction and second check share its stack.  So
+    each dual step takes one Jacobian, through ``jacobian``.  The dual step
+    must resolve the fastest active time scale, as the primal's must, or
+    RuntimeError names the primal time t = T - s where it failed.  The
+    returned trajectory is oriented forward in t.
     """
     if not 0 < step < np.inf:
         raise ValueError("dual step must be positive and finite")
     t_start, t_end = dp.primal.span
-    part = TimePartition.uniform(0.0, t_end - t_start, step)
-    s_nodes = part.times
     n = dp.sys.dimension
-    eye = np.eye(n)
+    last = [np.empty(0), np.empty((0, n, n))]  # the times last evaluated together, and their A
 
-    phi = np.empty((len(s_nodes), n))
-    phi[0] = dp.psi
-    # jacobian raises EvaluationError for a non-finite entry; one errstate per solve, not per call.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(1, len(s_nodes), INTERPOLATE_BLOCK):
-            hi = min(lo + INTERPOLATE_BLOCK, len(s_nodes))
-            t_mids = t_end - 0.5 * (s_nodes[lo:hi] + s_nodes[lo - 1 : hi - 1])
-            _, u_mids = interpolate(dp.primal.times, dp.primal.states, np.clip(t_mids, t_start, t_end))
-            half_k = 0.5 * np.diff(s_nodes[lo - 1 : hi])
-            if n < BLOCK_CROSSOVER:
-                hA = jacobian(dp.sys, u_mids, t_mids).transpose(0, 2, 1) * half_k[:, None, None]
-                for j, P in zip(range(lo, hi), np.linalg.solve(eye - hA, eye + hA)):
-                    phi[j] = P @ phi[j - 1]
-                continue
-            for j, h, t_mid, u_mid in zip(range(lo, hi), half_k.tolist(), t_mids, u_mids):
-                A = jacobian(dp.sys, u_mid, float(t_mid)).T
-                rhs = phi[j - 1] + h * (A @ phi[j - 1])
-                # Zero rows of J (frozen components) decouple: solve the live block alone.
-                a = np.flatnonzero(A.any(axis=0))
-                x = np.linalg.solve(eye[: len(a), : len(a)] - h * A[np.ix_(a, a)], rhs[a])
-                phi[j] = rhs + h * (A[:, a] @ x)
-                phi[j, a] = x
+    def adjoint(s):
+        """A(s) for one time, or the stack of A(s_i) for a 1-D array of times.
+        Times that continue the last evaluated run of times reuse its A."""
+        rows = np.atleast_1d(s)
+        lo = int(last[0].searchsorted(rows[0]))
+        head = last[0][lo : lo + len(rows)]
+        known = len(head) if (rows[: len(head)] == head).all() else 0
+        if known < len(rows):
+            t = t_end - rows[known:]
+            _, u = interpolate(dp.primal.times, dp.primal.states, np.clip(t, t_start, t_end))
+            A = jacobian(dp.sys, u, t).transpose(0, 2, 1)
+            last[:] = rows.copy(), np.concatenate((last[1][lo : lo + known], A)) if known else A
+            lo = 0
+        A = last[1][lo : lo + len(rows)]
+        return A[0] if np.ndim(s) == 0 else A
 
-    times = (t_end - s_nodes)[::-1].copy()
+    # The dual is linear, and the stopping rule is absolute below norm 1.
+    scale = float(np.max(np.abs(dp.psi)))
+    backward = DynamicalSystem(
+        len(dp.psi), lambda phi, s: (adjoint(s) @ phi[..., None])[..., 0], dp.psi / scale,
+        jacobian=lambda phi, s: adjoint(s), vectorized=True,
+    )
+    try:
+        # Through the module, so that a traced run keeps the dual's time in its own span.
+        phi = integrator.solve_cg1(backward, TimePartition.uniform(0.0, t_end - t_start, step))
+    except ConvergenceError as err:
+        cause = f"on the clock s = T - t: {err}; use a smaller dual step than {step:g}"
+        raise RuntimeError(f"dual step ending at t={t_end - err.t_end:g} failed, {cause}") from err
+    times = (t_end - phi.times)[::-1].copy()
     times[0], times[-1] = t_start, t_end  # pin endpoints against roundoff
-    return Trajectory(times, phi[::-1])
+    return Trajectory(times, scale * phi.states[::-1])
 
 
 def stability_factors(phi: Trajectory) -> tuple[float, float]:
@@ -189,7 +195,6 @@ class ControlPoint:
     time: float
     gbar: Array
     deviation: float
-    perturbation: float
 
 
 def _perturbation_vector(sys: DynamicalSystem, model: SubgridModel) -> Array:
@@ -216,7 +221,6 @@ def validate_at_control_points(
     measure_gbar as the original fit, with rhs times t_c + s.
     """
     delta = _perturbation_vector(sys, model)
-    perturbation = float(np.max(np.abs(delta), initial=0.0))
     measured: list[ControlPoint] = []
     times = np.sort(np.asarray(points, dtype=float))
     _, starts = interpolate(reduced_traj.times, reduced_traj.states, times)
@@ -224,7 +228,7 @@ def validate_at_control_points(
         resolved = resolve_short(sys, u_c, t_c, model.tau, model.resolved_step)
         gbar = measure_gbar(resolved, sys.seen_from(t_c), model.tau)
         deviation = float(np.linalg.norm((model.constants - gbar)[model.active]))
-        measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation, perturbation=perturbation))
+        measured.append(ControlPoint(time=t_c, gbar=gbar, deviation=deviation))
     return tuple(measured)
 
 
@@ -260,6 +264,5 @@ def format_control_report(model: SubgridModel, points: Sequence[ControlPoint]) -
     for i, p in enumerate(points, start=1):
         lines.append(f"point_{i}_time: {p.time:.17g}")
         lines.append(f"point_{i}_deviation: {p.deviation:.17g}")
-        lines.append(f"point_{i}_perturbation: {p.perturbation:.17g}")
         lines.append("point_{}_gbar: {}".format(i, " ".join(f"{v:.17g}" for v in p.gbar)))
     return "\n".join(lines) + "\n"

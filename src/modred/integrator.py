@@ -15,7 +15,10 @@ solve's chord matrix by one doubling scan (Blelloch, "Prefix sums and their
 applications", 1990), checks them all by one rhs batch at their midpoints,
 and keeps the prefix that meets the per-step stopping rule, after one chord
 correction of that prefix from the defects the check found; a whole pass
-doubles the block, anything else halves it for the rest of the solve.  The
+doubles the block, anything else halves it for the rest of the solve.  A
+block whose first step fails takes one Newton correction, each step with its
+own Jacobian, before it is checked again, so that a linear system whose
+matrix varies along the block, such as a dual, steps in blocks too.  The
 correction does for a block what returning g does for a step solved alone:
 a node passes with a defect up to the tolerance, and leaves with a
 contracted one.  The two paths agree to the tolerance, not to roundoff; on
@@ -51,8 +54,8 @@ MAX_CHORD_ITERS = 100
 #: Chord corrections after which an unconverged step re-evaluates J.
 CHORD_REFRESH = 4
 
-#: Dimension from which solve_cg1 and solve_dual step one interval at a time;
-#: smaller systems step a block of intervals at a time.
+#: Dimension from which solve_cg1 steps one interval at a time, the dual as the
+#: primal; smaller systems step a block of intervals at a time.
 BLOCK_CROSSOVER = 24
 
 
@@ -131,41 +134,71 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
 
 
 def _chord_scan(M: Array, c: Array) -> Array:
-    """Rows d_j = P d_{j-1} + M c_j from d_0 = 0, with P = 2M - I: the chord
-    linearization of consecutive midpoint steps driven by the rows c_j of c,
-    summed by a Hillis-Steele doubling scan."""
-    d = c @ M.T
-    P, h = 2.0 * M - np.eye(len(M)), 1
-    while h < len(d):
-        d[h:] += d[:-h] @ P.T
-        P, h = P @ P, 2 * h
+    """Rows d_j = P_j d_{j-1} + M_j c_j from d_0 = 0, P_j = 2M_j - I: the chord
+    linearization of consecutive midpoint steps driven by the rows c_j of c.
+    One M serves every row by a Hillis-Steele doubling scan; a stack of one
+    M_j per row (a Newton correction) is stepped in order, as a scan would
+    multiply its matrices."""
+    if M.ndim == 2:
+        d = c @ M.T
+        P, h = 2.0 * M - np.eye(len(M)), 1
+        while h < len(d):
+            d[h:] += d[:-h] @ P.T
+            P, h = P @ P, 2 * h
+        return d
+    d = (M @ c[..., None])[..., 0]
+    P = 2.0 * M - np.eye(M.shape[-1])
+    for P_j, prev, row in zip(P[1:], d, d[1:]):
+        row += P_j.dot(prev)
     return d
 
 
-def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float) -> Array:
+def _predicted_steps(
+    sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float, newton: bool
+) -> tuple[Array, bool]:
     """The nodes after u over the intervals of ``times``, predicted with the
-    chord matrix M, up to the first that fails solve_cg1's stopping rule.
+    chord matrix M, up to the first that fails solve_cg1's stopping rule, and
+    whether the solve's blocks take Newton corrections from now on.
 
     The prediction holds the first chord correction from u, k f(u, t_mid),
-    fixed over the block.  The defects r_j = U_{j-1} + k f(mid_j) - U_j of the
-    passing prefix then drive one chord correction of it, as a step solved
-    alone returns g after its check.  f at u is the first evaluation of a step
-    solved alone, so its errors are that step's; an evaluation at a predicted
-    midpoint that fails in any way passes no step.
+    fixed over the block.  If not even its first step passes, a system with
+    an analytic Jacobian takes one Newton correction, each step with its own
+    Jacobian, and is checked again; from then on blocks take their Jacobians
+    before their check, for a linear system's rhs to reuse.  The defects
+    r_j = U_{j-1} + k f(mid_j) - U_j of the passing prefix drive one last
+    chord correction, as a step solved alone returns g after its check.  f at
+    u is the first evaluation of a step solved alone, so its errors are that
+    step's; an evaluation at a predicted midpoint that fails in any way
+    passes no step.
     """
     k = np.diff(times)
     t_mids = times[:-1] + 0.5 * k
     r1 = k[0] * evaluate_rhs(sys, u[None], t_mids[:1])
     nodes = u + _chord_scan(M, np.repeat(r1, len(k), axis=0))
-    left = np.vstack((u, nodes[:-1]))
+
+    def defects(nodes):
+        left = np.vstack((u, nodes[:-1]))
+        r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
+        return r, row_norms(r) <= tol * np.maximum(1.0, row_norms(nodes + r))
+
+    def half_k_jacobians():
+        return 0.5 * k[:, None, None] * jacobian(sys, 0.5 * (np.vstack((u, nodes[:-1])) + nodes), t_mids)
+
     try:
-        f = evaluate_rhs(sys, 0.5 * (left + nodes), t_mids)
+        hJ = half_k_jacobians() if newton else None
+        r, passed = defects(nodes)
+        if not passed[0] and sys.jacobian is not None:
+            hJ = half_k_jacobians() if hJ is None else hJ
+            # The step guard, (k/2) rho(J) < 1, by rho^2 <= ||((k/2) J)^2||_F: a
+            # block it does not clear is left to steps solved alone.
+            if np.all(np.linalg.norm(hJ @ hJ, axis=(1, 2)) < 1.0):
+                nodes = nodes + _chord_scan(np.linalg.inv(np.eye(len(u)) - hJ), r)
+                r, passed = defects(nodes)
+                newton = True
     except Exception:
-        return nodes[:0]
-    r = left + k[:, None] * f - nodes
-    passed = row_norms(r) <= tol * np.maximum(1.0, row_norms(nodes + r))
+        return nodes[:0], newton
     m = len(k) if passed.all() else int(np.argmin(passed))
-    return nodes[:m] + _chord_scan(M, r[:m])
+    return nodes[:m] + _chord_scan(M, r[:m]), newton
 
 
 def solve_cg1(
@@ -179,9 +212,10 @@ def solve_cg1(
     returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <= tol *
     max(1, ||g||), tol = ``fixed_point_tol``; a step taken in a block (systems
     of fewer than BLOCK_CROSSOVER components) passes the same check at its
-    predicted node v and returns v plus the block's chord correction from
-    those defects.  A block starts after a step solved alone has set the
-    chord matrix, so a system at rest steps alone.
+    predicted node v, after a Newton correction where its first step failed,
+    and returns v plus the block's chord correction from those defects.  A
+    block starts after a step solved alone has set the chord matrix, so a
+    system at rest steps alone.
     Raises ConvergenceError when a step is too large or does not converge,
     and EvaluationError, naming t and the component, for a non-finite rhs
     value, both for the interval a step solved alone names.  An rhs
@@ -199,6 +233,7 @@ def solve_cg1(
     u_prev = states[0]
     M = None
     j, block, ceiling = 1, 1, INTERPOLATE_BLOCK if n < BLOCK_CROSSOVER else 1
+    newton = False
 
     # A non-finite rhs value raises EvaluationError below; numpy's warnings
     # would only repeat that.  One errstate per solve costs nothing.
@@ -206,7 +241,7 @@ def solve_cg1(
         while j < len(times):
             m = min(block, len(times) - j)
             if m > 1 and M is not None:
-                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol)
+                accepted, newton = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol, newton)
                 states[j : j + len(accepted)] = accepted
                 j += len(accepted)
                 u_prev = states[j - 1]

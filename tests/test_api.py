@@ -99,3 +99,18 @@ def test_no_module_scatters_with_add_at():
         and node.value.attr == "add"
     ]
     assert offenders == []
+
+
+def test_only_the_integrator_solves_linear_systems():
+    # one midpoint stepper: every cG(1) step, the dual's included, is solve_cg1's
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "integrator.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"solve", "inv"}
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    ]
+    assert offenders == []

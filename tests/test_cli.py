@@ -461,6 +461,28 @@ def test_estimate_rejects_tau_other_than_the_fit(tmp_path, capsys):
 
 
 
+def test_unresolved_dual_step_is_a_numerical_failure_naming_the_dual(tmp_path, capsys):
+    # the dual takes reduced_step; at 5 its (k/2) rho(J) = 2.5 cannot resolve the slow oscillator
+    cfg = write_config(
+        tmp_path / "d.cfg",
+        f"""
+        problem = simple
+        kappa = 1e18
+        T = 10
+        tau = 1e-7
+        resolved_step = 2e-10
+        reduced_step = 0.1
+        output = {tmp_path/'dual'}
+        """,
+    )
+    assert run_cli("reduce", cfg) == 0
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--reduced_step", "5") == 2
+    err = capsys.readouterr().err
+    assert "dual step ending at t=5 failed" in err and "smaller dual step than 5" in err
+    assert not (tmp_path / "dual.estimate.txt").exists()
+
+
 def _reduce_short_simple(tmp_path, name):
     cfg = write_config(
         tmp_path / "c.cfg",

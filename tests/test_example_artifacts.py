@@ -32,14 +32,14 @@ PINNED = {
     "simple": {
         "csv": "8a84b16e692e526bb072984a87ce1d22db1a715fde45447df8ed9c3f7bd8b4ac",
         "model.txt": "fcf5bced2e5aafd75ca8f8c7d92b6a3f4ddd70a0d0bbe95978c8b182c3f0e02d",
-        "estimate.txt": "8a1e6e935368b8846d5da768e3cf487c52b51208dc4b7f7bfcc22a1cf8ead512",
-        "controls.txt": "5a363d362b1373fc0f0fe8218c2ab79742d455dd1772a8d698207f6135eb2332",
+        "estimate.txt": "407b9bf1d2b4fb51e9e0018bb6a54ea4ea2f3246541b8135427376ce42e483af",
+        "controls.txt": "1f11494e7e0d9b3ee468719fc4a334263a7cdc52c77ae9a557ccfc972e615b28",
     },
     "lattice": {
         "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",
         "model.txt": "9ad609c7640e1d4d6f008796eb70ce91efc89f521107ebbf1c2cbbb81e0e8c5a",
-        "estimate.txt": "824a75002e5eb716e3e01a37a8171a9f78df365caa455a553beded3d1fcc27a3",
-        "controls.txt": "d0eca99a9e41cfbbb26cb240659b0f7e5ef7cfe72a9d5eb1b8bfe0e02d84d7df",
+        "estimate.txt": "ce11d5266f76c7a1d7b8b53d3a5e76f22f4bef681f04f3b26dbf92ac38384f2f",
+        "controls.txt": "045acef9ff7848a6759fcd7192c1f887e760ce8163a22a61de0d6c8c8ffa11fc",
     },
 }
 

@@ -348,6 +348,67 @@ def test_too_large_step_after_blocks_names_the_reference_interval():
     assert counts["calls"] < 2 * 55
 
 
+def _varying_rotation():
+    """u' = w(t) R u, R the quarter turn and w(t) = 1 + 0.5 sin t: linear,
+    with a matrix that changes along every block, as the dual of a primal
+    whose Jacobian varies; its analytic Jacobian takes stacks."""
+    R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def w(t):
+        return 1.0 + 0.5 * np.sin(np.asarray(t))
+
+    return DynamicalSystem(
+        2,
+        lambda u, t: w(t)[..., None] * (u @ R.T),
+        np.array([1.0, 0.0]),
+        jacobian=lambda u, t: w(t)[..., None, None] * R,
+        vectorized=True,
+    )
+
+
+def test_linear_time_varying_system_steps_in_blocks():
+    # the chord prediction holds one matrix, so no block's first step
+    # passes its check; one Newton correction, each step with its own
+    # Jacobian, makes every block pass whole (84 rhs calls, 4,010 rows),
+    # where the per-step loop makes at least 2 calls per step (4,000 here).
+    # The block nodes lie no farther from a solve at tolerance 1e-16 than
+    # the per-step loop's (measured: 1.6e-15 against 1.7e-12)
+    sys = _varying_rotation()
+    part = TimePartition.uniform(0.0, 20.0, 0.01)
+    counted, counts = rhs_counted(sys)
+    block = solve_cg1(counted, part)
+    tight = _per_step_chord(sys, part, tol=1e-16)
+    block_error = np.max(np.abs(block.states - tight))
+    assert block_error <= 1e-12
+    assert block_error <= np.max(np.abs(_per_step_chord(sys, part) - tight))
+    assert np.max(_midpoint_defects(block, sys)) <= 1.0
+    assert counts["calls"] <= 100
+
+
+def test_newton_blocks_keep_the_step_guard():
+    # u' = -c(t) u with c jumping from 1 to 1e4 at t = 0.55, as in the test
+    # above, with a Jacobian that takes stacks: a Newton correction would
+    # carry a block past the jump (the midpoint rule is A-stable), so the
+    # guard must refuse it and leave the step to be solved alone
+    def c(t):
+        return np.where(np.asarray(t) < 0.55, 1.0, 1e4)
+
+    sys = DynamicalSystem(
+        1,
+        lambda u, t: -(c(t) * u.T).T,
+        np.ones(1),
+        jacobian=lambda u, t: -c(t)[..., None, None] * np.ones((1, 1)),
+        vectorized=True,
+    )
+    part = TimePartition.uniform(0.0, 1.0, 0.01)
+    with pytest.raises(ConvergenceError) as reference:
+        _per_step_chord(sys, part)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_cg1(sys, part)
+    assert exc.value.interval == reference.value.interval == 56
+    assert str(exc.value) == str(reference.value)
+
+
 def test_fixed_point_tolerance_is_respected():
     lam = -2.0
     sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]))
