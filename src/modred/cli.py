@@ -58,6 +58,9 @@ from .system import DynamicalSystem, Trajectory, evaluate_rhs, jacobian
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
 
+#: Rows per formatted block of a CSV artifact.
+CSV_BLOCK = 64
+
 #: Lattice CSV extras by config name.
 OBSERVABLES = {"diameter": diameter, "d_small": small_mass_distance}
 
@@ -255,12 +258,20 @@ def _overwritten(path: str):
 
 
 def write_csv(path: str, traj: Trajectory, extra_columns=()) -> None:
-    """CSV with header t,u_1,...,u_N (plus observables), 17 significant digits."""
+    """CSV with header t,u_1,...,u_N (plus observables), 17 significant digits.
+
+    The bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
+    ``%`` per block of CSV_BLOCK rows instead of one per row; the blocks
+    bound the temporary strings and floats of a long or wide file."""
     names = ["t"] + [f"u_{i + 1}" for i in range(traj.dimension)]
     names += [name for name, _ in extra_columns]
     data = np.column_stack([traj.times, traj.states, *(col for _, col in extra_columns)])
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with _overwritten(path) as fh:
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(data), CSV_BLOCK):
+            block = data[lo : lo + CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path: str, dimension: int) -> Trajectory:

@@ -22,9 +22,12 @@ FD_EPS_REL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 #: bounds the size of the sample arrays, and so the peak memory, on long runs.
 INTERPOLATE_BLOCK = 1024
 
-#: States per rhs call when evaluate_rhs hands a vectorized system a stack:
-#: bounds the temporaries of one call, and so the peak memory.
-RHS_BLOCK = 64
+#: Values per rhs call when evaluate_rhs hands a vectorized system a stack:
+#: each call takes max(1, RHS_BLOCK_VALUES // dimension) rows, so a
+#: (rows, dimension) array of one call holds at most 128 KiB.  That bounds
+#: the temporaries of one call, and so the peak memory, while a small
+#: system takes a whole block of INTERPOLATE_BLOCK rows in one call.
+RHS_BLOCK_VALUES = 16384
 
 
 class EvaluationError(RuntimeError):
@@ -123,9 +126,10 @@ def row_norms(rows: Array) -> Array:
 def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     """f(u_i, t_i) for the rows u_i of ``states`` at the ``times`` t_i, as a
     (rows, dimension) array.  A vectorized system's rhs is called once per
-    block of RHS_BLOCK rows, any other's once per row.  Each result passes the
-    shape check of rhs_value, and a non-finite value raises EvaluationError
-    naming the first bad t and component."""
+    stack of max(1, RHS_BLOCK_VALUES // dimension) rows, any other's once
+    per row.  Each result passes the shape check of rhs_value, and a
+    non-finite value raises EvaluationError naming the first bad t and
+    component."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, sys.dimension))
     if times.ndim != 1 or np.shape(states) != out.shape:
@@ -135,8 +139,9 @@ def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     # A non-finite value raises EvaluationError below; numpy's warnings would only repeat that.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if sys.vectorized:
-            for lo in range(0, len(times), RHS_BLOCK):
-                hi = min(lo + RHS_BLOCK, len(times))
+            rows = max(1, RHS_BLOCK_VALUES // n)
+            for lo in range(0, len(times), rows):
+                hi = min(lo + rows, len(times))
                 out[lo:hi] = rhs_value(rhs(states[lo:hi], times[lo:hi]), hi - lo, n)
         else:
             for i, (u, t) in enumerate(zip(states, times.tolist())):
@@ -157,7 +162,9 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float | Array) -> Array:
 
     Uses the analytic Jacobian when present, otherwise central finite
     differences with steps h_j = FD_EPS_REL * max(|u_j|, 1), whose 2N
-    perturbed states go through evaluate_rhs as one batch.  A vectorized
+    perturbed states go through evaluate_rhs as one batch: one rhs call of a
+    vectorized system while 2N * N <= RHS_BLOCK_VALUES, else one per stack
+    of RHS_BLOCK_VALUES // N rows; one call per state otherwise.  A vectorized
     system's analytic Jacobian takes a stack in one call; in every other case
     the rows go through the single-state path one at a time.  Either way a
     non-finite entry raises EvaluationError naming its t and first bad (i, j).

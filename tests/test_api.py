@@ -1,7 +1,8 @@
 """Package hygiene: modules share only public names, every name that
 ``modred.__all__`` exports exists, rhs values are taken through the
 checked kernels only, which alone decide how they are batched and in what
-block size, and no module scatters with np.add.at."""
+block size, no module scatters with np.add.at, and only the CLI writes or
+reads a CSV."""
 
 import ast
 from pathlib import Path
@@ -82,7 +83,20 @@ def test_only_system_names_the_rhs_block():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "system.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if "RHS_BLOCK" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+        if "RHS_BLOCK_VALUES" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert offenders == []
+
+
+def test_only_cli_writes_and_reads_csv():
+    # one CSV writer and one reader: cli.write_csv and cli.read_csv
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"savetxt", "loadtxt"}
     ]
     assert offenders == []
 

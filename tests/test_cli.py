@@ -1,11 +1,13 @@
+import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import modred.cli
 from modred import Trajectory
-from modred.cli import main, parse_config, read_csv, write_csv
+from modred.cli import CSV_BLOCK, main, parse_config, read_csv, write_csv
 
 
 def run_cli(*args):
@@ -276,6 +278,39 @@ def test_csv_round_trip_is_bit_exact(tmp_path, rng):
     back = read_csv(str(path), 3)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.states, traj.states)
+
+
+# the shortest trajectory, a block less one row, a block, and one row past a block
+@pytest.mark.parametrize("rows", [2, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("observables", [False, True], ids=["states", "observables"])
+def test_write_csv_matches_savetxt(tmp_path, rng, rows, observables):
+    states = rng.normal(size=(rows, 4))
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -12.0, 1e22, 0.1 + 0.2]
+    states.flat[: len(edge)] = edge
+    traj = Trajectory(0.1 * np.arange(rows), states)
+    extra = [("diameter", rng.uniform(size=rows)), ("d_small", np.full(rows, 0.1 + 0.2))] if observables else []
+    path = tmp_path / "t.csv"
+    write_csv(str(path), traj, extra)
+    names = ["t", "u_1", "u_2", "u_3", "u_4"] + [name for name, _ in extra]
+    data = np.column_stack([traj.times, traj.states, *(col for _, col in extra)])
+    ref = io.StringIO()
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+def test_write_csv_formats_a_long_run_in_blocks(tmp_path):
+    # the 20,001 x 5 array of simple-long's CSV holds 800 kB; one % over the
+    # whole file would hold 100,005 floats and the text besides, about 5 MB
+    n = 20_001
+    traj = Trajectory(np.linspace(0.0, 2000.0, n), np.random.default_rng(0).normal(size=(n, 4)))
+    path = str(tmp_path / "long.csv")
+    tracemalloc.start()
+    try:
+        write_csv(path, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_reduce_is_deterministic(tmp_path):

@@ -24,7 +24,7 @@ from modred import (
     solve_dual,
 )
 from modred.problems import _lattice_geometry
-from modred.system import RHS_BLOCK
+from modred.system import RHS_BLOCK_VALUES
 
 
 def test_simple_model_rhs_and_pairs():
@@ -314,7 +314,8 @@ def test_lattice_rhs_equals_the_two_take_reference(p, rng):
     spec = LatticeSpec(p=p, m=1e-4)
     sys = make_lattice(spec)
     ref = _take_rhs(spec)
-    for rows in (None, 1, 3, RHS_BLOCK, RHS_BLOCK + 1):
+    stack = RHS_BLOCK_VALUES // sys.dimension
+    for rows in (None, 1, 3, stack, stack + 1):
         shape = (sys.dimension,) if rows is None else (rows, sys.dimension)
         u = sys.initial_value + rng.normal(scale=1e-2, size=shape)
         f = sys.rhs(u, np.zeros(shape[:-1]))
@@ -370,7 +371,8 @@ def _frozen_pairs(sys):
     return assemble_reduced(sys, model)
 
 
-@pytest.mark.parametrize("rows", [1, RHS_BLOCK, RHS_BLOCK + 1])
+# "stack+1" is one row more than evaluate_rhs hands the system per call
+@pytest.mark.parametrize("rows", [1, 64, 65, "stack+1"])
 @pytest.mark.parametrize("reduce", [False, True], ids=["full", "reduced"])
 @pytest.mark.parametrize(
     "build",
@@ -384,6 +386,8 @@ def _frozen_pairs(sys):
 def test_stacked_rhs_rows_equal_single_state_calls(build, reduce, rows, rng):
     sys = _frozen_pairs(build()) if reduce else build()
     assert sys.vectorized
+    if rows == "stack+1":
+        rows = RHS_BLOCK_VALUES // sys.dimension + 1
     states = sys.initial_value + rng.normal(scale=1e-2, size=(rows, sys.dimension))
     times = np.linspace(0.0, 1.0, rows)
     stacked = evaluate_rhs(sys, states, times)
@@ -394,7 +398,8 @@ def test_stacked_rhs_rows_equal_single_state_calls(build, reduce, rows, rng):
 
 def test_lattice_rhs_takes_a_stack_longer_than_a_block(rng):
     sys = make_lattice(LatticeSpec(p=3))
-    states = sys.initial_value + rng.normal(scale=1e-3, size=(2 * RHS_BLOCK + 1, sys.dimension))
+    rows = 2 * (RHS_BLOCK_VALUES // sys.dimension) + 1
+    states = sys.initial_value + rng.normal(scale=1e-3, size=(rows, sys.dimension))
     stacked = sys.rhs(states, np.zeros(len(states)))
     per_row = np.array([sys.rhs(u, 0.0) for u in states])
     np.testing.assert_array_equal(stacked.view(np.int64), per_row.view(np.int64))

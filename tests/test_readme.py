@@ -3,6 +3,7 @@ then the vectorized problem file, whose rhs and Jacobian keep the stack
 contract."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from modred import evaluate_rhs, jacobian
-from modred.system import RHS_BLOCK
+from modred.system import RHS_BLOCK_VALUES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,10 +38,15 @@ def test_readme_vectorized_problem_file_keeps_the_stack_contract(blocks):
     exec(compile(blocks[1], str(README), "exec"), namespace)
     sys = namespace["make_system"]()
     assert sys.vectorized
-    rows = RHS_BLOCK + 1
+    # one row more than a call takes, so the stack crosses a boundary
+    rows = RHS_BLOCK_VALUES // sys.dimension + 1
     states = np.random.default_rng(0).normal(size=(rows, sys.dimension))
     times = np.linspace(0.0, 1.0, rows)
     per_row = np.array([sys.rhs(u, t) for u, t in zip(states, times.tolist())])
-    np.testing.assert_array_equal(evaluate_rhs(sys, states, times).view(np.int64), per_row.view(np.int64))
+    calls = []
+    counted = dataclasses.replace(sys, rhs=lambda u, t: calls.append(len(u)) or sys.rhs(u, t))
+    stacked = evaluate_rhs(counted, states, times)
+    assert len(calls) >= 2
+    np.testing.assert_array_equal(stacked.view(np.int64), per_row.view(np.int64))
     per_row = np.array([sys.jacobian(u, t) for u, t in zip(states, times.tolist())])
     np.testing.assert_array_equal(jacobian(sys, states, times).view(np.int64), per_row.view(np.int64))

@@ -18,7 +18,7 @@ from modred import (
     make_lattice,
     make_simple_model,
 )
-from modred.system import FD_EPS_REL, INTERPOLATE_BLOCK, RHS_BLOCK, row_norms
+from modred.system import FD_EPS_REL, INTERPOLATE_BLOCK, RHS_BLOCK_VALUES, row_norms
 
 
 def test_simple_model_rhs_at_initial_value():
@@ -96,13 +96,31 @@ def test_stacked_rhs_names_the_bad_row_of_a_later_block():
         return 1.0 / u
 
     sys = DynamicalSystem(2, rhs, np.ones(2), vectorized=True)
-    states = np.ones((RHS_BLOCK + 5, 2))
-    states[RHS_BLOCK + 3, 1] = 0.0
+    rows = RHS_BLOCK_VALUES // 2
+    states = np.ones((rows + 5, 2))
+    states[rows + 3, 1] = 0.0
     times = 0.125 * np.arange(len(states))
-    bad_t = float(times[RHS_BLOCK + 3])
+    bad_t = float(times[rows + 3])
     with pytest.raises(EvaluationError, match=re.escape(f"component 1 is non-finite at t={bad_t!r} ")):
         evaluate_rhs(sys, states, times)
-    assert shapes == [(RHS_BLOCK, 2), (5, 2)]
+    assert shapes == [(rows, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("n,rows,calls", [(4, INTERPOLATE_BLOCK, 1), (244, 1001, 15)])
+def test_stacked_rhs_takes_its_rows_by_a_budget_of_values(n, rows, calls):
+    # a small system takes a whole interpolation block in one call; a wide
+    # one takes max(1, RHS_BLOCK_VALUES // n) rows, 67 at n = 244
+    shapes = []
+
+    def rhs(u, t):
+        shapes.append(np.shape(u))
+        return 2.0 * u
+
+    sys = DynamicalSystem(n, rhs, np.ones(n), vectorized=True)
+    evaluate_rhs(sys, np.ones((rows, n)), np.zeros(rows))
+    assert len(shapes) == calls
+    assert sum(r for r, _ in shapes) == rows
+    assert all(r * n <= RHS_BLOCK_VALUES for r, _ in shapes)
 
 
 def test_stacked_rhs_of_the_wrong_shape_names_both_shapes():
@@ -163,6 +181,7 @@ def _fd_systems():
     A = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7], [-0.4, 0.9, 1.1]])
     return {
         "lattice-p3": dataclasses.replace(make_lattice(LatticeSpec(p=3, m=1e-4)), jacobian=None),
+        "lattice-p6": dataclasses.replace(make_lattice(LatticeSpec(p=6, m=1e-4)), jacobian=None),
         "simple": dataclasses.replace(make_simple_model(1e18), jacobian=None),
         "not-vectorized": DynamicalSystem(3, lambda u, t: A @ u + np.sin(u) * t, np.ones(3)),
     }
@@ -176,9 +195,12 @@ def test_fd_jacobian_equals_the_per_column_loop(name, rng):
         np.testing.assert_array_equal(jacobian(sys, u, t), _fd_jacobian_by_columns(sys, u, t))
 
 
-@pytest.mark.parametrize("name,calls", [("lattice-p3", 2), ("simple", 1), ("not-vectorized", 6)])
+@pytest.mark.parametrize(
+    "name,calls", [("lattice-p3", 1), ("lattice-p6", 8), ("simple", 1), ("not-vectorized", 6)]
+)
 def test_fd_jacobian_takes_its_states_as_batches(name, calls):
-    # 2N perturbed states: stacks of RHS_BLOCK rows, or one call per row
+    # 2N perturbed states: stacks of RHS_BLOCK_VALUES // N rows (104 rows in
+    # one call at N = 52, 488 in stacks of 67 at N = 244), or one call per row
     sys = _fd_systems()[name]
     shapes = []
 
