@@ -71,12 +71,13 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
     from psi scaled to largest entry 1 (the result is scaled back), so that
     its stopping rule is relative at any scale of psi.  One helper gives the
     system's rhs and Jacobian and keeps the last run of times it evaluated
-    with their A: a step's rhs evaluations and chord matrix share one, and a
-    block's check, Newton correction and second check share its stack.  So
-    each dual step takes one Jacobian, through ``jacobian``.  The dual step
-    must resolve the fastest active time scale, as the primal's must, or
-    RuntimeError names the primal time t = T - s where it failed.  The
-    returned trajectory is oriented forward in t.
+    with their A, which times that continue the run reuse: a step's rhs
+    evaluations share one A with its chord matrix, and a block's check, one
+    rhs call, shares its stack with the block's Newton correction and second
+    check.  So each dual step takes one Jacobian, through ``jacobian``.  The
+    dual step must resolve the fastest active time scale, as the primal's
+    must, or RuntimeError names the primal time t = T - s where it failed.
+    The returned trajectory is oriented forward in t.
     """
     if not 0 < step < np.inf:
         raise ValueError("dual step must be positive and finite")

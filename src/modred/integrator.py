@@ -10,19 +10,21 @@ and refreshed after CHORD_REFRESH corrections (Hairer & Wanner, Solving ODEs II,
 IV.8).  A step too large for the fastest scale ((k/2) J of spectral radius >= 1) raises.
 
 Below BLOCK_CROSSOVER components the solve also steps blocks of up to
-INTERPOLATE_BLOCK intervals at a time.  A block predicts its nodes with the
-solve's chord matrix by one doubling scan (Blelloch, "Prefix sums and their
-applications", 1990), checks them all by one rhs batch at their midpoints,
-and keeps the prefix that meets the per-step stopping rule, after one chord
-correction of that prefix from the defects the check found; a whole pass
-doubles the block, anything else halves it for the rest of the solve.  A
-block whose first step fails takes one Newton correction, each step with its
-own Jacobian, before it is checked again, so that a linear system whose
-matrix varies along the block, such as a dual, steps in blocks too.  The
-correction does for a block what returning g does for a step solved alone:
-a node passes with a defect up to the tolerance, and leaves with a
-contracted one.  The two paths agree to the tolerance, not to roundoff; on
-an affine system the corrected nodes are exact up to the scan's roundoff.
+stack_rows(N) intervals at a time, so that a block's check is one rhs call of
+a vectorized system.  A block predicts its nodes with the solve's chord
+matrix by one doubling scan (Blelloch, "Prefix sums and their applications",
+1990), checks them all by one rhs batch at their midpoints, and keeps the
+prefix that meets the per-step stopping rule, after one chord correction of
+that prefix from the defects the check found; a whole pass doubles the
+block, anything else halves it for the rest of the solve.  A block whose
+first step fails takes its Jacobian stack and one Newton correction, each
+step with its own Jacobian, before it is checked again, so that a linear
+system whose matrix varies along the block, such as a dual, steps in blocks
+too.  The correction does for a block what returning g does for a step
+solved alone: a node passes with a defect up to the tolerance, and leaves
+with a contracted one.  The two paths agree to the tolerance, not to
+roundoff; on an affine system the corrected nodes are exact up to the scan's
+roundoff.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import (
-    INTERPOLATE_BLOCK,
     Array,
     DynamicalSystem,
     Trajectory,
@@ -43,6 +44,7 @@ from .system import (
     jacobian,
     rhs_value,
     row_norms,
+    stack_rows,
 )
 
 # Gauss points of the 2-point rule on [-1/2, 1/2], used for residual sampling.
@@ -153,23 +155,20 @@ def _chord_scan(M: Array, c: Array) -> Array:
     return d
 
 
-def _predicted_steps(
-    sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float, newton: bool
-) -> tuple[Array, bool]:
+def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float) -> Array:
     """The nodes after u over the intervals of ``times``, predicted with the
-    chord matrix M, up to the first that fails solve_cg1's stopping rule, and
-    whether the solve's blocks take Newton corrections from now on.
+    chord matrix M, up to the first that fails solve_cg1's stopping rule.
 
     The prediction holds the first chord correction from u, k f(u, t_mid),
-    fixed over the block.  If not even its first step passes, a system with
-    an analytic Jacobian takes one Newton correction, each step with its own
-    Jacobian, and is checked again; from then on blocks take their Jacobians
-    before their check, for a linear system's rhs to reuse.  The defects
-    r_j = U_{j-1} + k f(mid_j) - U_j of the passing prefix drive one last
-    chord correction, as a step solved alone returns g after its check.  f at
-    u is the first evaluation of a step solved alone, so its errors are that
-    step's; an evaluation at a predicted midpoint that fails in any way
-    passes no step.
+    fixed over the block, and is checked by one rhs batch at its midpoints.
+    If not even its first step passes, a system with an analytic Jacobian
+    takes the Jacobian stack at those midpoints and one Newton correction,
+    each step with its own Jacobian, and is checked again; the block carries
+    nothing to the next.  The defects r_j = U_{j-1} + k f(mid_j) - U_j of the
+    passing prefix drive one last chord correction, as a step solved alone
+    returns g after its check.  f at u is the first evaluation of a step
+    solved alone, so its errors are that step's; an evaluation at a
+    predicted midpoint that fails in any way passes no step.
     """
     k = np.diff(times)
     t_mids = times[:-1] + 0.5 * k
@@ -181,24 +180,19 @@ def _predicted_steps(
         r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
         return r, row_norms(r) <= tol * np.maximum(1.0, row_norms(nodes + r))
 
-    def half_k_jacobians():
-        return 0.5 * k[:, None, None] * jacobian(sys, 0.5 * (np.vstack((u, nodes[:-1])) + nodes), t_mids)
-
     try:
-        hJ = half_k_jacobians() if newton else None
         r, passed = defects(nodes)
         if not passed[0] and sys.jacobian is not None:
-            hJ = half_k_jacobians() if hJ is None else hJ
+            hJ = 0.5 * k[:, None, None] * jacobian(sys, 0.5 * (np.vstack((u, nodes[:-1])) + nodes), t_mids)
             # The step guard, (k/2) rho(J) < 1, by rho^2 <= ||((k/2) J)^2||_F: a
             # block it does not clear is left to steps solved alone.
             if np.all(np.linalg.norm(hJ @ hJ, axis=(1, 2)) < 1.0):
                 nodes = nodes + _chord_scan(np.linalg.inv(np.eye(len(u)) - hJ), r)
                 r, passed = defects(nodes)
-                newton = True
     except Exception:
-        return nodes[:0], newton
+        return nodes[:0]
     m = len(k) if passed.all() else int(np.argmin(passed))
-    return nodes[:m] + _chord_scan(M, r[:m]), newton
+    return nodes[:m] + _chord_scan(M, r[:m])
 
 
 def solve_cg1(
@@ -214,8 +208,9 @@ def solve_cg1(
     of fewer than BLOCK_CROSSOVER components) passes the same check at its
     predicted node v, after a Newton correction where its first step failed,
     and returns v plus the block's chord correction from those defects.  A
-    block starts after a step solved alone has set the chord matrix, so a
-    system at rest steps alone.
+    block spans at most stack_rows(N) steps, so its check is one rhs call of
+    a vectorized system, and starts after a step solved alone has set the
+    chord matrix, so a system at rest steps alone.
     Raises ConvergenceError when a step is too large or does not converge,
     and EvaluationError, naming t and the component, for a non-finite rhs
     value, both for the interval a step solved alone names.  An rhs
@@ -232,8 +227,7 @@ def solve_cg1(
     states[0] = sys.initial_value
     u_prev = states[0]
     M = None
-    j, block, ceiling = 1, 1, INTERPOLATE_BLOCK if n < BLOCK_CROSSOVER else 1
-    newton = False
+    j, block, ceiling = 1, 1, stack_rows(n) if n < BLOCK_CROSSOVER else 1
 
     # A non-finite rhs value raises EvaluationError below; numpy's warnings
     # would only repeat that.  One errstate per solve costs nothing.
@@ -241,7 +235,7 @@ def solve_cg1(
         while j < len(times):
             m = min(block, len(times) - j)
             if m > 1 and M is not None:
-                accepted, newton = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol, newton)
+                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol)
                 states[j : j + len(accepted)] = accepted
                 j += len(accepted)
                 u_prev = states[j - 1]
@@ -291,8 +285,9 @@ def residual_samples(traj: Trajectory, sys: DynamicalSystem) -> Array:
     k = np.diff(times)
     slopes = np.diff(traj.states, axis=0) / k[:, None]
     worst = np.zeros(len(k))
-    for lo in range(0, len(k), INTERPOLATE_BLOCK):
-        b = slice(lo, lo + INTERPOLATE_BLOCK)
+    rows = stack_rows(sys.dimension)
+    for lo in range(0, len(k), rows):
+        b = slice(lo, lo + rows)
         for offset in (-_GAUSS_OFFSET, _GAUSS_OFFSET):
             t_s = left[b] + 0.5 * k[b] + offset * k[b]
             _, u_s = interpolate(times, traj.states, t_s)

@@ -18,15 +18,9 @@ Array = np.ndarray
 # Relative step for central finite differences, cbrt(machine epsilon).
 FD_EPS_REL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-#: Sample times per interpolate call when a caller walks a whole trajectory:
-#: bounds the size of the sample arrays, and so the peak memory, on long runs.
-INTERPOLATE_BLOCK = 1024
-
-#: Values per rhs call when evaluate_rhs hands a vectorized system a stack:
-#: each call takes max(1, RHS_BLOCK_VALUES // dimension) rows, so a
-#: (rows, dimension) array of one call holds at most 128 KiB.  That bounds
-#: the temporaries of one call, and so the peak memory, while a small
-#: system takes a whole block of INTERPOLATE_BLOCK rows in one call.
+#: Values in one stack of states: a (stack_rows(dimension), dimension)
+#: array holds at most 128 KiB.  That bounds the temporaries of one rhs
+#: call, and so the peak memory, while a small system takes long stacks.
 RHS_BLOCK_VALUES = 16384
 
 
@@ -118,6 +112,13 @@ def rhs_value(f, *shape: int) -> Array:
     return f
 
 
+def stack_rows(dimension: int) -> int:
+    """Rows of one stack of states, max(1, RHS_BLOCK_VALUES // dimension): the
+    rows of one rhs call of a vectorized system, of one solver block and of
+    one residual chunk."""
+    return max(1, RHS_BLOCK_VALUES // dimension)
+
+
 def row_norms(rows: Array) -> Array:
     """Norm of each row, bit for bit np.linalg.norm(row): one dot per row; a sum rounds otherwise."""
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
@@ -126,10 +127,9 @@ def row_norms(rows: Array) -> Array:
 def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     """f(u_i, t_i) for the rows u_i of ``states`` at the ``times`` t_i, as a
     (rows, dimension) array.  A vectorized system's rhs is called once per
-    stack of max(1, RHS_BLOCK_VALUES // dimension) rows, any other's once
-    per row.  Each result passes the shape check of rhs_value, and a
-    non-finite value raises EvaluationError naming the first bad t and
-    component."""
+    stack of stack_rows(dimension) rows, any other's once per row.  Each
+    result passes the shape check of rhs_value, and a non-finite value
+    raises EvaluationError naming the first bad t and component."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, sys.dimension))
     if times.ndim != 1 or np.shape(states) != out.shape:
@@ -139,7 +139,7 @@ def evaluate_rhs(sys: DynamicalSystem, states: Array, times: Array) -> Array:
     # A non-finite value raises EvaluationError below; numpy's warnings would only repeat that.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if sys.vectorized:
-            rows = max(1, RHS_BLOCK_VALUES // n)
+            rows = stack_rows(n)
             for lo in range(0, len(times), rows):
                 hi = min(lo + rows, len(times))
                 out[lo:hi] = rhs_value(rhs(states[lo:hi], times[lo:hi]), hi - lo, n)
@@ -164,7 +164,7 @@ def jacobian(sys: DynamicalSystem, u: Array, t: float | Array) -> Array:
     differences with steps h_j = FD_EPS_REL * max(|u_j|, 1), whose 2N
     perturbed states go through evaluate_rhs as one batch: one rhs call of a
     vectorized system while 2N * N <= RHS_BLOCK_VALUES, else one per stack
-    of RHS_BLOCK_VALUES // N rows; one call per state otherwise.  A vectorized
+    of stack_rows(N) rows; one call per state otherwise.  A vectorized
     system's analytic Jacobian takes a stack in one call; in every other case
     the rows go through the single-state path one at a time.  Either way a
     non-finite entry raises EvaluationError naming its t and first bad (i, j).

@@ -77,7 +77,8 @@ def test_only_the_kernels_read_vectorized():
 
 
 def test_only_system_names_the_rhs_block():
-    # the stack size is evaluate_rhs's choice; a kernel takes whatever rows it gets
+    # the stack size is system's choice: other modules take it from stack_rows,
+    # and a kernel takes whatever rows it gets
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))

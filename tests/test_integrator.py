@@ -25,7 +25,7 @@ from modred import (
     solve_cg1,
 )
 from modred.integrator import BLOCK_CROSSOVER, CHORD_REFRESH, MAX_CHORD_ITERS
-from modred.system import INTERPOLATE_BLOCK, jacobian
+from modred.system import jacobian, stack_rows
 
 GAUSS_HALF_WIDTH = 0.5 / np.sqrt(3.0)  # Gauss points of the 2-point rule
 
@@ -256,7 +256,10 @@ def _small_beside_large(c3):
         return np.array([y, -x - c3 * x**3 + 1e-3 * np.sin(t), 0.0 * z]).T
 
     def jac(u, t):
-        return np.array([[0.0, 1.0, 0.0], [-1.0 - 3.0 * c3 * u[0] ** 2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        J = np.zeros((*np.shape(u)[:-1], 3, 3))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = -1.0 - 3.0 * c3 * u[..., 0] ** 2
+        return J
 
     return DynamicalSystem(3, rhs, np.array([0.0, 0.0, 1e6]), jacobian=jac, vectorized=True)
 
@@ -369,7 +372,7 @@ def _varying_rotation():
 def test_linear_time_varying_system_steps_in_blocks():
     # the chord prediction holds one matrix, so no block's first step
     # passes its check; one Newton correction, each step with its own
-    # Jacobian, makes every block pass whole (84 rhs calls, 4,010 rows),
+    # Jacobian, makes every block pass whole (32 rhs calls, 4,010 rows),
     # where the per-step loop makes at least 2 calls per step (4,000 here).
     # The block nodes lie no farther from a solve at tolerance 1e-16 than
     # the per-step loop's (measured: 1.6e-15 against 1.7e-12)
@@ -407,6 +410,27 @@ def test_newton_blocks_keep_the_step_guard():
         solve_cg1(sys, part)
     assert exc.value.interval == reference.value.interval == 56
     assert str(exc.value) == str(reference.value)
+
+
+def test_a_block_check_is_one_rhs_call():
+    # a block spans at most one rhs stack, so its check is one call that
+    # starts at the time of the call before it: the block's first row, or
+    # its check before a Newton correction.  A check split over two stacks
+    # would make the dual's run cache take a block's Jacobians twice
+    A = np.random.default_rng(5).standard_normal((20, 20))
+    A -= A.T
+    calls = []
+
+    def rhs(u, t):
+        calls.append((np.ndim(u), len(np.atleast_2d(u)), float(np.atleast_1d(t)[0])))
+        return u @ A.T
+
+    sys = DynamicalSystem(20, rhs, np.ones(20), jacobian=lambda u, t: A, vectorized=True)
+    solve_cg1(sys, TimePartition.uniform(0.0, 30.0, 0.01))
+    stacked = [i for i, (ndim, rows, _) in enumerate(calls) if ndim == 2 and rows > 1]
+    assert len(stacked) >= 4
+    assert max(rows for _, rows, _ in calls) <= stack_rows(20) == 819
+    assert all(calls[i][2] == calls[i - 1][2] for i in stacked)
 
 
 def test_fixed_point_tolerance_is_respected():
@@ -489,15 +513,15 @@ def _reduced_lattice_run():
 
 def _long_simple_run():
     sys = make_simple_model(4.0)
-    traj = solve_cg1(sys, TimePartition.uniform(0.0, 12.0, 0.01))
-    assert len(traj.times) - 1 > INTERPOLATE_BLOCK
+    traj = solve_cg1(sys, TimePartition.uniform(0.0, 42.0, 0.01))
+    assert len(traj.times) - 1 > stack_rows(sys.dimension)
     return traj, sys
 
 
 @pytest.mark.parametrize("run", [_long_simple_run, _reduced_lattice_run])
 def test_residual_samples_equal_the_per_row_dot(run):
     # the stacked row norms replaced one math.sqrt(r.dot(r)) per row, the
-    # reference kept here; across interpolation blocks no bit may move
+    # reference kept here; across residual chunks no bit may move
     traj, sys = run()
     expected = _residual_reference(traj, sys, lambda r: math.sqrt(r.dot(r)))
     np.testing.assert_array_equal(residual_samples(traj, sys), expected)

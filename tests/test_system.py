@@ -18,7 +18,7 @@ from modred import (
     make_lattice,
     make_simple_model,
 )
-from modred.system import FD_EPS_REL, INTERPOLATE_BLOCK, RHS_BLOCK_VALUES, row_norms
+from modred.system import FD_EPS_REL, RHS_BLOCK_VALUES, row_norms, stack_rows
 
 
 def test_simple_model_rhs_at_initial_value():
@@ -106,9 +106,9 @@ def test_stacked_rhs_names_the_bad_row_of_a_later_block():
     assert shapes == [(rows, 2), (5, 2)]
 
 
-@pytest.mark.parametrize("n,rows,calls", [(4, INTERPOLATE_BLOCK, 1), (244, 1001, 15)])
+@pytest.mark.parametrize("n,rows,calls", [(4, stack_rows(4), 1), (244, 1001, 15)])
 def test_stacked_rhs_takes_its_rows_by_a_budget_of_values(n, rows, calls):
-    # a small system takes a whole interpolation block in one call; a wide
+    # a small system takes a whole stack, a solver block, in one call; a wide
     # one takes max(1, RHS_BLOCK_VALUES // n) rows, 67 at n = 244
     shapes = []
 
@@ -449,7 +449,7 @@ def test_fd_jacobian_rejects_wrong_shape_rhs():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 52, 244, 724])
-@pytest.mark.parametrize("rows", [1, INTERPOLATE_BLOCK + 1])
+@pytest.mark.parametrize("rows", [1, 1025])
 def test_row_norms_equal_the_norm_of_each_row(n, rows, rng):
     # one dot per row, as np.linalg.norm takes it of a 1-D row; a sum along
     # each row would round differently
