@@ -18,7 +18,6 @@ from .dual import (
 )
 from .integrator import (
     ConvergenceError,
-    SolverOptions,
     TimePartition,
     residual_samples,
     solve_cg1,
@@ -56,7 +55,6 @@ __all__ = [
     "ErrorEstimate",
     "EvaluationError",
     "LatticeSpec",
-    "SolverOptions",
     "SubgridModel",
     "TimePartition",
     "Trajectory",

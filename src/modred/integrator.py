@@ -53,6 +53,9 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 #: Chord iterations allowed per interval before ConvergenceError.
 MAX_CHORD_ITERS = 100
 
+#: A step is solved when ||g - v|| <= FIXED_POINT_TOL * max(1, ||g||).
+FIXED_POINT_TOL = 1e-12
+
 #: Chord corrections after which an unconverged step re-evaluates J.
 CHORD_REFRESH = 4
 
@@ -111,15 +114,6 @@ class TimePartition:
         return np.diff(self.times)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    fixed_point_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.fixed_point_tol > 0:
-            raise ValueError("fixed_point_tol must be positive")
-
-
 def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[Array, float]:
     """inv(I - (k/2) J) at (u, t) and the spectral radius of (k/2) J, estimated by
     20 power steps on its square from a fixed start (a pair +-i*w converges too)."""
@@ -155,7 +149,7 @@ def _chord_scan(M: Array, c: Array) -> Array:
     return d
 
 
-def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol: float) -> Array:
+def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array) -> Array:
     """The nodes after u over the intervals of ``times``, predicted with the
     chord matrix M, up to the first that fails solve_cg1's stopping rule.
 
@@ -178,7 +172,7 @@ def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol
     def defects(nodes):
         left = np.vstack((u, nodes[:-1]))
         r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
-        return r, row_norms(r) <= tol * np.maximum(1.0, row_norms(nodes + r))
+        return r, row_norms(r) <= FIXED_POINT_TOL * np.maximum(1.0, row_norms(nodes + r))
 
     try:
         r, passed = defects(nodes)
@@ -195,16 +189,12 @@ def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array, tol
     return nodes[:m] + _chord_scan(M, r[:m])
 
 
-def solve_cg1(
-    sys: DynamicalSystem,
-    part: TimePartition,
-    opts: SolverOptions | None = None,
-) -> Trajectory:
+def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> Trajectory:
     """Integrate the system over the given partition with cG(1).
 
     Every returned node U_j meets the midpoint relation: a step solved alone
-    returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <= tol *
-    max(1, ||g||), tol = ``fixed_point_tol``; a step taken in a block (systems
+    returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <=
+    FIXED_POINT_TOL * max(1, ||g||); a step taken in a block (systems
     of fewer than BLOCK_CROSSOVER components) passes the same check at its
     predicted node v, after a Newton correction where its first step failed,
     and returns v plus the block's chord correction from those defects.  A
@@ -215,13 +205,14 @@ def solve_cg1(
     and EvaluationError, naming t and the component, for a non-finite rhs
     value, both for the interval a step solved alone names.  An rhs
     evaluation at a predicted node that fails, by a non-finite value or by
-    any exception, only shrinks the block.
+    any exception, only shrinks the block.  ``opts`` keeps the call shape
+    solve_cg1(sys, part, opts) and must be None.
     """
-    opts = opts or SolverOptions()
+    if opts is not None:
+        raise TypeError(f"solve_cg1 takes no options; its tolerance is FIXED_POINT_TOL, got {opts!r}")
     times = part.times
     rhs = sys.rhs
     n = sys.dimension
-    tol = opts.fixed_point_tol
 
     states = np.empty((len(times), n))
     states[0] = sys.initial_value
@@ -235,7 +226,7 @@ def solve_cg1(
         while j < len(times):
             m = min(block, len(times) - j)
             if m > 1 and M is not None:
-                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M, tol)
+                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M)
                 states[j : j + len(accepted)] = accepted
                 j += len(accepted)
                 u_prev = states[j - 1]
@@ -256,7 +247,7 @@ def solve_cg1(
                 if not math.isfinite(res):
                     evaluate_rhs(sys, mid[None], np.array([t_mid]))  # raises if f is non-finite
                     raise ConvergenceError(j, float(times[j]), res)
-                if res <= tol * max(1.0, math.sqrt(g.dot(g))):
+                if res <= FIXED_POINT_TOL * max(1.0, math.sqrt(g.dot(g))):
                     break
                 if M is None or (it and it % CHORD_REFRESH == 0):
                     M, rho = _chord_matrix(sys, mid, t_mid, k)

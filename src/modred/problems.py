@@ -170,8 +170,8 @@ def make_lattice(spec: LatticeSpec) -> DynamicalSystem:
     B = kappa * ((1 - r/L) I + (r/L**3) d d^T), which enters the (a, a),
     (a, b), (b, a), (b, b) position blocks as -B, +B, +B, -B; the force rows
     are divided by the masses and the velocity block is the identity.  A
-    dual step therefore costs one assembly and one dense solve, with no rhs
-    evaluations.
+    dual step therefore costs one Jacobian assembly and a few chord-matrix
+    products, with no rhs evaluations.
 
     Both kernels scatter with one np.bincount, which adds in input order from
     0.0: bit for bit the sums np.add.at makes over the a-ends, then the b-ends.

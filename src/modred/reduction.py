@@ -246,14 +246,7 @@ def assemble_reduced(sys: DynamicalSystem, model: SubgridModel) -> DynamicalSyst
             J[..., frozen, :] = 0.0
             return J
 
-    return DynamicalSystem(
-        dimension=sys.dimension,
-        rhs=reduced_rhs,
-        initial_value=model.initial_value,
-        jacobian=reduced_jac,
-        oscillator_pairs=sys.oscillator_pairs,
-        vectorized=sys.vectorized,
-    )
+    return dataclasses.replace(sys, rhs=reduced_rhs, initial_value=model.initial_value, jacobian=reduced_jac)
 
 
 # Kept only as a rebinding target of perfbench/tracing.py; nothing calls it.

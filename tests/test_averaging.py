@@ -232,3 +232,11 @@ def test_interior_window_keeps_the_reference_node_rule(monkeypatch):
     np.testing.assert_array_equal(seen[0], times[reference])
     with pytest.raises(ValueError, match=r"only 7 resolved nodes in the fit window \[0\.2, 0\.8\]"):
         fit_constant_subgrid(traj, sys, tau, 0.1)
+
+
+def test_variance_needs_two_interior_nodes():
+    # the interior window [0.95, 1.05] of a run over [0, 2] holds node 1 alone
+    traj = Trajectory(np.array([0.0, 1.0, 2.0]), np.zeros((3, 1)))
+    sys = DynamicalSystem(1, lambda u, t: -u, np.zeros(1))
+    with pytest.raises(ValueError, match="resolved run too short to measure the variance"):
+        measure_gbar(traj, sys, 1.9)

@@ -1,6 +1,9 @@
 import io
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -698,3 +701,145 @@ def test_artifacts_are_overwritten_in_place(tmp_path, monkeypatch):
         assert (stat.st_ino, stat.st_mode & 0o777) == (inodes[name], 0o600)
         assert (reused / name).read_bytes() == (fresh / name).read_bytes()
         assert (reused / f"link-{name}").read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("problem = pendulum\n", "unknown problem 'pendulum'"),
+        ("problem = external-file\n", "problem = external-file requires problem_file = <path>"),
+        ("problem = simple\nkappa = 0\n", "kappa must be positive"),
+        ("problem = simple\ncontrol_points = 0\n", "control_points must be >= 1"),
+        ("problem = simple\nobservables = diameter\n", "observable 'diameter' requires the lattice problem"),
+        ("problem = lattice\nobservables = diameter, width\n", "unknown observable 'width'"),
+        ("problem = simple\nT 10\n", "c.cfg:2: expected 'key = value', got 'T 10'"),
+    ],
+    ids=["unknown-problem", "external-file-without-path", "kappa-zero", "no-control-points",
+         "observable-off-lattice", "unknown-observable", "line-without-equals"],
+)
+def test_invalid_config_is_a_config_error(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path / "c.cfg", text + f"output = {tmp_path/'v'}\n")
+    assert run_cli("solve", cfg) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_empty_config_value_keeps_the_default(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = simple\nkappa = 1\nT =\nstep = 1\noutput = {tmp_path/'e'}\n")
+    assert run_cli("solve", cfg) == 0
+    lines = (tmp_path / "e.csv").read_text().splitlines()
+    # T keeps its default of 100
+    assert len(lines) == 1 + 101 and lines[-1].startswith("100,")
+
+
+@pytest.mark.parametrize(
+    "name,source,message",
+    [
+        ("problem.txt", "def make_system():\n    pass\n", "cannot import problem file"),
+        ("problem.py", "def make_system():\n    return 42\n", "make_system() must return a DynamicalSystem"),
+    ],
+    ids=["not-importable", "not-a-system"],
+)
+def test_problem_file_without_a_system_is_a_config_error(tmp_path, capsys, name, source, message):
+    problem = tmp_path / name
+    problem.write_text(source)
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\noutput = {tmp_path/'s'}\n",
+    )
+    assert run_cli("solve", cfg) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_psi_as_a_vector_gives_the_estimate_of_its_index(tmp_path):
+    cfg = _reduce_short_simple(tmp_path, "vec")
+    assert run_cli("estimate", cfg) == 0
+    by_index = (tmp_path / "vec.estimate.txt").read_bytes()
+    assert run_cli("estimate", cfg, "--psi", "1,0,0,0") == 0
+    assert (tmp_path / "vec.estimate.txt").read_bytes() == by_index
+
+
+@pytest.mark.parametrize(
+    "psi,message",
+    [
+        ("1,0,0", "psi has 3 entries, system dimension is 4"),
+        ("0", "psi component index 0 outside 1..4"),
+        ("5", "psi component index 5 outside 1..4"),
+    ],
+)
+def test_psi_that_does_not_fit_the_system_is_a_config_error(tmp_path, capsys, psi, message):
+    cfg = _reduce_short_simple(tmp_path, "psi")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--psi", psi) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "psi.estimate.txt").exists()
+
+
+def test_estimate_rejects_a_csv_of_another_dimension(tmp_path, capsys):
+    cfg = _reduce_short_simple(tmp_path, "dim")
+    csv = tmp_path / "dim.csv"
+    rows = csv.read_text().splitlines()[1:]
+    csv.write_text("t,u_1,u_2,u_3\n" + "".join(row.rsplit(",", 1)[0] + "\n" for row in rows))
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    assert f"{csv}: unexpected CSV header for dimension 4" in capsys.readouterr().err
+    assert not (tmp_path / "dim.estimate.txt").exists()
+
+
+def _replace_line(prefix, new):
+    return lambda lines: [new if line.startswith(prefix) else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines + ["5 dormant 0"], "malformed model report line: '5 dormant 0'"),
+        (lambda lines: [line for line in lines if line.startswith("#")], "model report contains no component lines"),
+        (_replace_line("1 ", "7 active 0"), "model report component indices must be 1..N"),
+        (lambda lines: [line for line in lines if not line.startswith("# u0")], "model report is missing the '# u0 = ...' header"),
+        (_replace_line("# oscillation_amplitude", "# oscillation_amplitude = 0 0 0"), "model arrays must have equal length"),
+        (_replace_line("3 ", "3 active nan"), "subgrid constants must be finite"),
+        (_replace_line("# u0", "# u0 = 0 0 inf 0"), "reduced initial value must be finite"),
+    ],
+    ids=["malformed-line", "no-components", "indices-not-1-to-N", "missing-header", "unequal-lengths",
+         "non-finite-constant", "non-finite-u0"],
+)
+def test_estimate_rejects_a_broken_model_report(tmp_path, capsys, edit, message):
+    cfg = _reduce_short_simple(tmp_path, "rep")
+    report = tmp_path / "rep.model.txt"
+    report.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep.estimate.txt").exists()
+
+
+def test_blank_lines_in_the_model_report_are_skipped(tmp_path):
+    cfg = _reduce_short_simple(tmp_path, "blank")
+    assert run_cli("estimate", cfg) == 0
+    expected = (tmp_path / "blank.estimate.txt").read_bytes()
+    report = tmp_path / "blank.model.txt"
+    report.write_text(report.read_text().replace("\n", "\n\n   \n"))
+    assert run_cli("estimate", cfg) == 0
+    assert (tmp_path / "blank.estimate.txt").read_bytes() == expected
+
+
+def test_help_exits_0_and_extra_example_arguments_exit_1(capsys):
+    assert run_cli("--help") == 0
+    assert capsys.readouterr().out.startswith("usage: modred")
+    assert run_cli("example", "simple", "extra") == 1
+    assert "unexpected arguments: ['extra']" in capsys.readouterr().err
+
+
+def test_python_m_modred_runs_the_command_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def python_m_modred(*args):
+        return subprocess.run([sys.executable, "-m", "modred", *args], env=env, capture_output=True, text=True)
+
+    done = python_m_modred("example", "simple")
+    assert (done.returncode, done.stdout) == (0, modred.cli._EXAMPLE_CONFIGS["simple"])
+    done = python_m_modred("example", "simple", "extra")
+    assert done.returncode == 1 and "unexpected arguments" in done.stderr

@@ -10,7 +10,6 @@ from modred import (
     DynamicalSystem,
     EvaluationError,
     LatticeSpec,
-    SolverOptions,
     SubgridModel,
     TimePartition,
     Trajectory,
@@ -197,7 +196,7 @@ def _per_step_chord(sys, part, tol=1e-12):
 
 def _midpoint_defects(traj, sys):
     """||U_j - U_{j-1} - k_j f(mid_j, t_mid_j)|| per interval, over
-    fixed_point_tol * max(1, ||U_j||)."""
+    FIXED_POINT_TOL * max(1, ||U_j||)."""
     k = np.diff(traj.times)
     mids = 0.5 * (traj.states[1:] + traj.states[:-1])
     f = evaluate_rhs(sys, mids, traj.times[:-1] + 0.5 * k)
@@ -232,7 +231,7 @@ def _lattice_p2_reduced(simple_reduced):
     ids=["simple-reduced-20000-steps", "simple-fit-window", "lattice-p2-reduced"],
 )
 def test_block_path_agrees_with_the_per_step_loop(simple_reduced, case, max_calls):
-    # each component agrees within fixed_point_tol * max(1, max_j |U_j,i|),
+    # each component agrees within FIXED_POINT_TOL * max(1, max_j |U_j,i|),
     # its own scale, so a small component beside a large one keeps its
     # digits (measured: 0.005, 0.009 and 0.41 of that scale), where the
     # per-step loop makes 2 rhs calls per step and the block path far fewer
@@ -436,7 +435,7 @@ def test_a_block_check_is_one_rhs_call():
 def test_fixed_point_tolerance_is_respected():
     lam = -2.0
     sys = DynamicalSystem(1, lambda u, t: lam * u, np.array([1.0]))
-    traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.05), SolverOptions())
+    traj = solve_cg1(sys, TimePartition.uniform(0, 1.0, 0.05), None)
     # every step satisfies the midpoint relation to tolerance
     for j in range(1, len(traj.times)):
         k = traj.times[j] - traj.times[j - 1]
@@ -566,9 +565,38 @@ def test_uniform_partition_rejects_non_finite_arguments(args, name):
         TimePartition.uniform(*args)
 
 
-def test_solver_options_validation():
-    with pytest.raises(ValueError, match="positive"):
-        SolverOptions(0.0)
+@pytest.mark.parametrize("opts", [1e-10, {"fixed_point_tol": 1e-10}, 0.0])
+def test_solve_takes_no_options(opts):
+    # the third parameter only keeps the call shape solve_cg1(sys, part, opts)
+    sys = DynamicalSystem(1, lambda u, t: -u, np.array([1.0]))
+    with pytest.raises(TypeError, match="FIXED_POINT_TOL"):
+        solve_cg1(sys, TimePartition.uniform(0.0, 1.0, 0.1), opts)
+
+
+def test_partition_needs_two_nodes_and_a_nonempty_interval():
+    with pytest.raises(ValueError, match="at least two time nodes"):
+        TimePartition(np.array([0.0]))
+    with pytest.raises(ValueError, match=r"empty interval \[1.0, 1.0\]"):
+        TimePartition.uniform(1.0, 1.0, 0.1)
+
+
+def test_step_that_runs_out_of_chord_iterations_raises():
+    # a zero Jacobian makes the chord matrix I, so the iteration is the plain
+    # fixed point, whose factor (k/2) * 198 = 0.99 needs far more than
+    # MAX_CHORD_ITERS iterations; (k/2) J = 0 passes the contraction guard
+    sys = DynamicalSystem(1, lambda u, t: -198.0 * u, np.array([1.0]), jacobian=lambda u, t: np.zeros((1, 1)))
+    with pytest.raises(ConvergenceError, match=r"did not converge \(last residual norm 7.321e-01\)") as exc:
+        solve_cg1(sys, TimePartition.uniform(0.0, 1.0, 0.01))
+    assert exc.value.interval == 1 and exc.value.contraction is None
+
+
+def test_residual_that_overflows_from_a_finite_rhs_raises():
+    # f is finite, so EvaluationError does not apply, but the squared norm of
+    # the first residual g - u0 = 5e307 overflows
+    sys = DynamicalSystem(1, lambda u, t: np.array([1e308]), np.array([1e308]))
+    with pytest.raises(ConvergenceError, match=r"last residual norm inf") as exc:
+        solve_cg1(sys, TimePartition.uniform(0.0, 1.0, 0.5))
+    assert exc.value.interval == 1 and exc.value.residual == np.inf
 
 
 def test_wrong_shape_rhs_is_rejected_at_the_first_call():

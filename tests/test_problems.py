@@ -72,10 +72,11 @@ def test_simple_model_spec_validation():
         (lambda: LatticeSpec(p=3, initial_small_displacement=float("nan")), "initial_small_displacement"),
         (lambda: LatticeSpec(p=3.5), "p"),
         (lambda: LatticeSpec(p=3.0), "p"),
+        (lambda: LatticeSpec(p=3, kappa=0.0), "kappa"),
     ],
     ids=["simple-kappa-nan", "simple-kappa-inf", "lattice-kappa-inf", "lattice-M-inf",
          "lattice-m-inf", "lattice-m-nan", "lattice-displacement-nan", "lattice-p-3.5",
-         "lattice-p-3.0"],
+         "lattice-p-3.0", "lattice-kappa-zero"],
 )
 def test_problem_parameters_fail_at_construction(build, key):
     # each would otherwise build, then fail (or solve silently) later

@@ -315,6 +315,13 @@ def test_model_report_scalar_header_needs_one_value(stiff_modeling, value):
         parse_model_report(text)
 
 
+def test_model_of_another_dimension_is_not_assembled(stiff_modeling):
+    _, _, model, _ = stiff_modeling
+    sys = DynamicalSystem(2, lambda u, t: -u, np.zeros(2))
+    with pytest.raises(ValueError, match="model dimension does not match the system"):
+        assemble_reduced(sys, model)
+
+
 def test_modeling_options_validation(stiff_modeling):
     # the window is checked where it enters, before any resolved step, and
     # where it is kept for the control points

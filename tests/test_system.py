@@ -365,6 +365,10 @@ def test_trajectory_validation():
         Trajectory([0.0, 0.0], [[1.0], [1.0]])
     with pytest.raises(ValueError):
         Trajectory([1.0, 0.0], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="3 states for 2 time nodes"):
+        Trajectory([0.0, 1.0], [[1.0], [2.0], [3.0]])
+    with pytest.raises(ValueError, match="states contain non-finite entries"):
+        Trajectory([0.0, 1.0], [[1.0], [np.inf]])
 
 
 def test_jacobian_scalar_linear():
@@ -422,9 +426,10 @@ def _rhs(u, t):
         ((2, _rhs, np.zeros(2), 1.0, lambda u, t: -np.eye(2)), {}, "takes no final time"),
         ((2, _rhs, np.zeros(2)), {"jacobian": "analytic"}, "jacobian must be callable or None"),
         ((2, _rhs, np.zeros(2)), {"vectorized": 1}, "vectorized must be a bool, got 1"),
+        ((2, _rhs, np.zeros(2)), {"oscillator_pairs": ((0, 2),)}, r"oscillator pair \(0, 2\) out of range"),
     ],
     ids=["float-dimension", "rhs-not-callable", "final-time-positional", "old-order-5-args",
-         "old-order-with-jacobian", "jacobian-not-callable", "vectorized-not-bool"],
+         "old-order-with-jacobian", "jacobian-not-callable", "vectorized-not-bool", "pair-out-of-range"],
 )
 def test_construction_rejects_a_malformed_or_old_style_call(args, kwargs, match):
     # fails at construction, not with a TypeError inside a later solve
