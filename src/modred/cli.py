@@ -262,26 +262,54 @@ def write_csv(path: str, traj: Trajectory, extra_columns=()) -> None:
 
     The bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
     ``%`` per block of CSV_BLOCK rows instead of one per row; the blocks
-    bound the temporary strings and floats of a long or wide file."""
+    bound the temporary strings and floats of a long or wide file.  A column
+    whose every row holds the bits of its first, such as a frozen component,
+    is formatted once into the row as a literal (``%.17g`` text holds no
+    ``%``), so the blocks format only the live columns."""
     names = ["t"] + [f"u_{i + 1}" for i in range(traj.dimension)]
     names += [name for name, _ in extra_columns]
     data = np.column_stack([traj.times, traj.states, *(col for _, col in extra_columns)])
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    bits = data.view(np.int64)
+    constant = [(bits[:, j] == bits[0, j]).all() for j in range(data.shape[1])]
+    live = [j for j, same in enumerate(constant) if not same]
+    row = ",".join("%.17g" % data[0, j] if same else "%.17g" for j, same in enumerate(constant)) + "\n"
     with _overwritten(path) as fh:
         fh.write(",".join(names) + "\n")
         for lo in range(0, len(data), CSV_BLOCK):
-            block = data[lo : lo + CSV_BLOCK]
+            block = data[lo : lo + CSV_BLOCK, live]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_csv(path: str, dimension: int) -> Trajectory:
-    """Rebuild a trajectory from the first 1 + dimension CSV columns."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+def read_csv(path: str, dimension: int) -> tuple[float, float, np.ndarray]:
+    """The rows of a CSV artifact that `estimate` checks: the second row's
+    time, and the last row's time and first ``dimension`` state columns.
+
+    Reads the header and the first two rows from the start and the last row
+    from the end, so its cost does not grow with the number of rows."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().strip().split(",")
         if header[: dimension + 1] != ["t"] + [f"u_{i + 1}" for i in range(dimension)]:
             raise ValueError(f"{path}: unexpected CSV header for dimension {dimension}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return Trajectory(data[:, 0], data[:, 1 : dimension + 1])
+        fh.readline()
+        start = fh.tell()
+        second = fh.readline()
+        end = fh.seek(0, os.SEEK_END)
+        size = 4096
+        while True:
+            lo = max(start, end - size)
+            fh.seek(lo)
+            tail = fh.read(end - lo).rstrip()
+            if lo == start or b"\n" in tail:
+                break
+            size *= 2
+    last = tail.rsplit(b"\n", 1)[-1].split(b",")
+    if not second.strip() or len(last) < dimension + 1:
+        raise ValueError(f"{path}: holds no solve of dimension {dimension}; run `modred reduce` first")
+    try:
+        values = [float(v) for v in [second.split(b",", 1)[0], *last[: dimension + 1]]]
+    except ValueError:
+        raise ValueError(f"{path}: its second or last row is not numbers") from None
+    return values[0], values[1], np.array(values[2:])
 
 
 def _write_plot_script(path: str, csv_path: str, n_columns: int) -> None:
@@ -345,29 +373,53 @@ def _control_times(cfg: RunConfig) -> list[float]:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    """Bound the error of the reduced solve that `modred reduce` wrote.
+
+    The trajectory is not loaded from the CSV: the reduced model of
+    ``.model.txt`` is solved again over the same partition, which gives the
+    reduce's nodes bit for bit.  The CSV only vouches for that solve: a
+    config whose T or reduced_step is not the CSV's, or a last row that is
+    not bit for bit the re-solve's final node, is refused."""
     system, _ = build_system(cfg)
     model_path = Path(f"{cfg.output}.model.txt")
     csv_path = Path(f"{cfg.output}.csv")
     for p in (model_path, csv_path):
         if not p.exists():
             raise ValueError(f"missing artifact {p}; run `modred reduce` first")
-    model = parse_model_report(model_path.read_text())
-    traj = read_csv(str(csv_path), system.dimension)
+    try:
+        model = parse_model_report(model_path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{model_path}: {err}") from None
+    second_time, final_time, final_state = read_csv(str(csv_path), system.dimension)
     # Control points take the fit's window, and they and the dual cover the solve on disk.
     for key, value, found, source, path in (
         ("tau", cfg.tau, model.tau, "the model's tau =", model_path),
         ("resolved_step", cfg.resolved_step, model.resolved_step, "the model's resolved_step =", model_path),
-        ("T", cfg.T, float(traj.times[-1]), "the final time", csv_path),
+        ("T", cfg.T, final_time, "the final time", csv_path),
     ):
         if value != found:
             raise ValueError(
                 f"config {key} = {value!r} differs from {source} {found!r} in {path}; "
                 f"estimate with the {key} that `modred reduce` used"
             )
+    part = TimePartition.uniform(0.0, cfg.T, cfg.reduced_step)
+    if part.times[1] != second_time:
+        raise ValueError(
+            f"config reduced_step = {cfg.reduced_step!r} puts the second node at "
+            f"{float(part.times[1])!r}, not at the time {second_time!r} in {csv_path}; "
+            f"estimate with the reduced_step that `modred reduce` used"
+        )
     control_times = _control_times(cfg)
+    psi = parse_psi(cfg.psi, system.dimension)
 
     reduced = assemble_reduced(system, model)
-    psi = parse_psi(cfg.psi, system.dimension)
+    traj = solve_cg1(reduced, part)
+    if traj.times[-1] != final_time or traj.states[-1].tobytes() != final_state.tobytes():
+        raise ValueError(
+            f"the reduced model in {model_path}, solved again, does not end on the last row "
+            f"of {csv_path}; both must come from one run of `modred reduce` on the platform "
+            f"and BLAS that estimate runs on, since another may round differently"
+        )
     dp = DualProblem(primal=traj, sys=reduced, psi=psi)
     phi = solve_dual(dp, cfg.reduced_step)
 

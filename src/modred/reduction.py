@@ -296,7 +296,7 @@ def parse_model_report(text: str) -> SubgridModel:
     """Inverse of format_model_report."""
     meta: dict[str, str] = {}
     rows: list[tuple[int, bool, float]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -307,7 +307,10 @@ def parse_model_report(text: str) -> SubgridModel:
         fields = line.split()
         if len(fields) != 3 or fields[1] not in ("active", "inactive"):
             raise ValueError(f"malformed model report line: {raw!r}")
-        rows.append((int(fields[0]), fields[1] == "active", float(fields[2])))
+        try:
+            rows.append((int(fields[0]), fields[1] == "active", float(fields[2])))
+        except ValueError as err:
+            raise ValueError(f"malformed model report line {lineno}: {raw!r} ({err})") from None
     if not rows:
         raise ValueError("model report contains no component lines")
     rows.sort()

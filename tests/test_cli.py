@@ -22,6 +22,12 @@ def write_config(path, text):
     return str(path)
 
 
+def load_csv(path, dimension):
+    """The trajectory in the first 1 + dimension columns of a CSV artifact."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return Trajectory(data[:, 0], data[:, 1 : dimension + 1])
+
+
 def test_example_configs_parse(tmp_path, capsys):
     for name in ("simple", "lattice"):
         out = tmp_path / f"{name}.cfg"
@@ -59,7 +65,7 @@ def test_solve_short_stiff_run_oscillation_period(tmp_path):
         f"problem = simple\nkappa = 1e18\nT = 4e-7\nstep = 2e-10\noutput = {tmp_path/'fig2'}\n",
     )
     assert run_cli("solve", cfg) == 0
-    traj = read_csv(str(tmp_path / "fig2.csv"), 4)
+    traj = load_csv(tmp_path / "fig2.csv", 4)
     u2 = traj.states[:, 1]
     crossings = int(np.sum(u2[1:] * u2[:-1] < 0))
     period = 2.0 * 4e-7 / crossings
@@ -122,7 +128,7 @@ def test_reduce_then_estimate_simple(tmp_path):
     controls = (tmp_path / "est.controls.txt").read_text()
     assert "point_3_deviation:" in controls
     # the reduced solution tracks the closed form within the bound + slack
-    traj = read_csv(str(tmp_path / "est.csv"), 4)
+    traj = load_csv(tmp_path / "est.csv", 4)
     measured = abs(traj.states[-1, 0] - 0.25 * (1 - np.cos(10.0)))
     assert measured <= total + 0.01
 
@@ -278,7 +284,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path, rng):
     traj = Trajectory(ts, rng.normal(size=(40, 3)) * np.pi)
     path = tmp_path / "t.csv"
     write_csv(str(path), traj)
-    back = read_csv(str(path), 3)
+    back = load_csv(path, 3)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.states, traj.states)
 
@@ -299,6 +305,59 @@ def test_write_csv_matches_savetxt(tmp_path, rng, rows, observables):
     ref = io.StringIO()
     np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def _savetxt_bytes(traj, extra=()):
+    names = ["t"] + [f"u_{i + 1}" for i in range(traj.dimension)] + [name for name, _ in extra]
+    ref = io.StringIO()
+    data = np.column_stack([traj.times, traj.states, *(col for _, col in extra)])
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    return ref.getvalue().encode()
+
+
+def _zero_then_negative_zero(rows):
+    col = np.zeros(rows)
+    col[rows // 2] = -0.0
+    return col
+
+
+def _constant_but_last(rows):
+    col = np.full(rows, 0.1 + 0.2)
+    col[-1] = np.nextafter(col[-1], 1.0)
+    return col
+
+
+# columns that a constant-column writer could take for constant and must not,
+# and columns that are constant: one state, every state, an observable
+@pytest.mark.parametrize("rows", [2, CSV_BLOCK + 1])
+@pytest.mark.parametrize(
+    "states,extra",
+    [
+        (lambda rows, rng: np.column_stack([_zero_then_negative_zero(rows), rng.normal(size=rows)]), ()),
+        (lambda rows, rng: np.column_stack([_constant_but_last(rows), np.full(rows, -0.0)]), ()),
+        (lambda rows, rng: np.tile([53050.68, -0.0, 5e-324, 1e22], (rows, 1)), ()),
+        (lambda rows, rng: rng.normal(size=(rows, 2)), (("d_small", lambda rows: np.full(rows, np.pi)),)),
+    ],
+    ids=["negative-zero", "constant-but-last", "all-states-constant", "constant-observable"],
+)
+def test_write_csv_formats_constant_columns_as_savetxt_does(tmp_path, rng, rows, states, extra):
+    traj = Trajectory(0.1 * np.arange(rows), states(rows, rng))
+    columns = [(name, col(rows)) for name, col in extra]
+    path = tmp_path / "c.csv"
+    write_csv(str(path), traj, columns)
+    assert path.read_bytes() == _savetxt_bytes(traj, columns)
+
+
+def test_read_csv_reads_the_second_and_last_rows_bit_for_bit(tmp_path, rng):
+    # rows wider than the first 4,096 bytes read from the end, and a CSV of
+    # two rows, whose second row is its last
+    for rows, n in ((3, 400), (2, 3)):
+        traj = Trajectory(np.sort(rng.uniform(0, 1, size=rows)), rng.normal(size=(rows, n)) * np.pi)
+        path = tmp_path / f"{rows}.csv"
+        write_csv(str(path), traj, [("diameter", rng.uniform(size=rows))])
+        second, final, state = read_csv(str(path), n)
+        assert second == traj.times[1] and final == traj.times[-1]
+        assert state.tobytes() == traj.states[-1].tobytes()
 
 
 def test_write_csv_formats_a_long_run_in_blocks(tmp_path):
@@ -499,8 +558,10 @@ def test_estimate_rejects_tau_other_than_the_fit(tmp_path, capsys):
 
 
 
-def test_unresolved_dual_step_is_a_numerical_failure_naming_the_dual(tmp_path, capsys):
-    # the dual takes reduced_step; at 5 its (k/2) rho(J) = 2.5 cannot resolve the slow oscillator
+def test_estimate_rejects_a_reduced_step_the_reduce_did_not_take(tmp_path, capsys):
+    # the dual steps on the reduce's partition: a dual step of 5, which
+    # cannot resolve the slow oscillator, is refused as a config error before
+    # any solve, not run into a numerical failure
     cfg = write_config(
         tmp_path / "d.cfg",
         f"""
@@ -515,9 +576,9 @@ def test_unresolved_dual_step_is_a_numerical_failure_naming_the_dual(tmp_path, c
     )
     assert run_cli("reduce", cfg) == 0
     capsys.readouterr()
-    assert run_cli("estimate", cfg, "--reduced_step", "5") == 2
+    assert run_cli("estimate", cfg, "--reduced_step", "5") == 1
     err = capsys.readouterr().err
-    assert "dual step ending at t=5 failed" in err and "smaller dual step than 5" in err
+    assert "config reduced_step = 5.0" in err and "not at the time 0.1 in" in err
     assert not (tmp_path / "dual.estimate.txt").exists()
 
 
@@ -548,6 +609,82 @@ def test_estimate_rejects_T_other_than_the_reduced_solve(tmp_path, capsys, T):
     err = capsys.readouterr().err
     assert f"config T = {float(T)!r}" in err and "final time 1.0" in err
     assert not (tmp_path / "T.estimate.txt").exists()
+
+
+def test_estimate_rejects_a_csv_of_another_reduced_step(tmp_path, capsys):
+    # a reduce at another step wrote the CSV: the re-solve would bound a
+    # different run than the one on disk
+    cfg = _reduce_short_simple(tmp_path, "rs")
+    assert run_cli("reduce", cfg, "--reduced_step", "0.1") == 0
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    err = capsys.readouterr().err
+    assert "config reduced_step = 0.05" in err and f"in {tmp_path / 'rs.csv'}" in err
+    assert not (tmp_path / "rs.estimate.txt").exists()
+    assert run_cli("estimate", cfg, "--reduced_step", "0.1") == 0
+
+
+def _edit_last_row(csv, column, value):
+    lines = csv.read_text().splitlines()
+    row = lines[-1].split(",")
+    row[column] = value
+    csv.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+
+
+@pytest.mark.parametrize("column", [0, 1, 4], ids=["t", "u_1", "u_4"])
+def test_estimate_rejects_an_edited_last_row(tmp_path, capsys, column):
+    # the last row must be the re-solve's final node bit for bit; one ulp off
+    # in any state column, or in the time, is another run
+    cfg = _reduce_short_simple(tmp_path, "row")
+    csv = tmp_path / "row.csv"
+    value = float(csv.read_text().splitlines()[-1].split(",")[column])
+    _edit_last_row(csv, column, repr(float(np.nextafter(value, np.inf))))
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    err = capsys.readouterr().err
+    if column == 0:
+        assert "config T = 1.0 differs from the final time 1.0000000000000002" in err
+    else:
+        assert f"{tmp_path / 'row.model.txt'}, solved again, does not end on the last row of {csv}" in err
+        # a pair written on another machine is refused too; the message says so
+        assert "on the platform and BLAS that estimate runs on" in err
+    assert not (tmp_path / "row.estimate.txt").exists()
+
+
+def test_estimate_reads_the_last_row_as_written(tmp_path):
+    # the same value in other digits is the same run: only the bits count
+    cfg = _reduce_short_simple(tmp_path, "same")
+    assert run_cli("estimate", cfg) == 0
+    expected = (tmp_path / "same.estimate.txt").read_bytes()
+    csv = tmp_path / "same.csv"
+    value = float(csv.read_text().splitlines()[-1].split(",")[1])
+    _edit_last_row(csv, 1, f"{value:.25e}")
+    (tmp_path / "same.estimate.txt").unlink()
+    assert run_cli("estimate", cfg) == 0
+    assert (tmp_path / "same.estimate.txt").read_bytes() == expected
+
+
+def test_estimate_rejects_a_csv_cut_to_its_header(tmp_path, capsys):
+    cfg = _reduce_short_simple(tmp_path, "cut")
+    csv = tmp_path / "cut.csv"
+    csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    assert f"{csv}: holds no solve of dimension 4" in capsys.readouterr().err
+    assert not (tmp_path / "cut.estimate.txt").exists()
+
+
+@pytest.mark.parametrize("step", ["0.01", "0.05"])
+def test_estimate_rejects_a_csv_that_solve_wrote(tmp_path, capsys, step):
+    # a full solve at another step fails the reduced_step check; at the
+    # reduced step its last row is not the reduced model's
+    cfg = _reduce_short_simple(tmp_path, "full")
+    assert run_cli("solve", cfg, "--kappa", "1", "--step", step) == 0
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    err = capsys.readouterr().err
+    assert ("config reduced_step" if step == "0.01" else "solved again, does not end on the last row") in err
+    assert not (tmp_path / "full.estimate.txt").exists()
 
 
 def test_estimate_rejects_resolved_step_other_than_the_fit(tmp_path, capsys):
@@ -813,6 +950,20 @@ def test_estimate_rejects_a_broken_model_report(tmp_path, capsys, edit, message)
     assert run_cli("estimate", cfg) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep.estimate.txt").exists()
+
+
+@pytest.mark.parametrize("line", ["x active 0", "1 active abc"])
+def test_estimate_names_the_report_and_line_of_a_component_that_is_not_a_number(tmp_path, capsys, line):
+    cfg = _reduce_short_simple(tmp_path, "num")
+    report = tmp_path / "num.model.txt"
+    lines = report.read_text().splitlines()
+    lineno = lines.index(next(row for row in lines if row.startswith("1 "))) + 1
+    report.write_text("\n".join(_replace_line("1 ", line)(lines)) + "\n")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"error: {report}: malformed model report line {lineno}: {line!r}" in err
+    assert not (tmp_path / "num.estimate.txt").exists()
 
 
 def test_blank_lines_in_the_model_report_are_skipped(tmp_path):

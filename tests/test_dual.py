@@ -324,6 +324,19 @@ def test_unresolved_dual_step_names_the_dual_and_its_time():
     assert exc.value.__cause__.contraction > 1e4
 
 
+def test_unresolved_reduced_dual_step_names_the_dual_and_its_time():
+    # the reduced simple model at dual step 5: (k/2) rho(J) = 2.5 cannot
+    # resolve the slow oscillator, whatever step the primal took
+    sys, frozen = _reduced_simple()
+    reduced = assemble_reduced(sys, _frozen_model(sys, frozen))
+    U = solve_cg1(reduced, TimePartition.uniform(0, 10.0, 0.1))
+    dp = DualProblem(primal=U, sys=reduced, psi=np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(RuntimeError, match=r"^dual step ending at t=5 failed") as exc:
+        solve_dual(dp, 5.0)
+    assert "smaller dual step than 5" in str(exc.value)
+    assert isinstance(exc.value.__cause__, ConvergenceError)
+
+
 def test_all_live_large_dual_matches_the_dense_step_exactly():
     # the unreduced lattice at p=3 with resolvable small masses has no zero
     # Jacobian row and steps one interval at a time; it must agree with the

@@ -11,8 +11,10 @@ of states counts one evaluation per row, so batching rows into fewer calls
 leaves the count as it is.  The counts are deterministic, so they gate work: a
 change may lower the rhs count, never raise it.  The Jacobian count is exact:
 one per dual step (1,000 simple, 400 lattice) plus the chord-Newton Jacobian of
-each of the six solves per pipeline (the fit window, the reduced solve and
-four control-point windows), so a hidden Jacobian refresh fails the gate.
+each of the seven solves per pipeline (the fit window, the reduced solve, its
+re-solve in `estimate` and four control-point windows), so a hidden Jacobian
+refresh fails the gate.  The re-solve must cost exactly what the reduced solve
+of `reduce` costs, so that the caps cannot hide growth elsewhere.
 
 The hashes were pinned on x86_64 Linux with Python 3.11.7, numpy 2.4.6 and
 OpenBLAS 0.3.31 (scipy-openblas); another platform or BLAS may round
@@ -45,8 +47,8 @@ PINNED = {
 
 # (upper bound on rhs rows, exact Jacobian calls) over reduce + estimate.
 WORK = {
-    "simple": (16_845, 1_006),
-    "lattice": (31_352, 406),
+    "simple": (17_855, 1_007),
+    "lattice": (32_152, 407),
 }
 
 
@@ -71,17 +73,32 @@ def _counting_build_system(build_system, counts):
     return wrapped
 
 
+def _counting_solve(solve, counts, solves):
+    """solve_cg1 that appends the (rhs, jacobian) counts of each call to ``solves``."""
+
+    def wrapped(sys, part, opts=None):
+        before = dict(counts)
+        traj = solve(sys, part, opts)
+        solves.append({key: counts[key] - before[key] for key in counts})
+        return traj
+
+    return wrapped
+
+
 @pytest.fixture(scope="module", params=sorted(PINNED))
 def example_run(request, tmp_path_factory):
-    """(name, artifact digests, work counts) of one example pipeline."""
+    """(name, artifact digests, work counts, work of each CLI-level solve) of
+    one example pipeline."""
     name = request.param
     out = tmp_path_factory.mktemp(name)
     counts = {"rhs": 0, "jacobian": 0}
+    solves = []
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(out)
         mp.setattr(
             modred.cli, "build_system", _counting_build_system(modred.cli.build_system, counts)
         )
+        mp.setattr(modred.cli, "solve_cg1", _counting_solve(modred.cli.solve_cg1, counts, solves))
         cfg = f"{name}.cfg"
         assert main(["example", name, "-o", cfg]) == 0
         assert main(["reduce", cfg]) == 0
@@ -90,19 +107,28 @@ def example_run(request, tmp_path_factory):
         ext: hashlib.sha256((out / f"{name}_run.{ext}").read_bytes()).hexdigest()
         for ext in PINNED[name]
     }
-    return name, digests, counts
+    return name, digests, counts, solves
 
 
 def test_example_artifacts_are_byte_identical(example_run):
-    name, digests, _ = example_run
+    name, digests, _, _ = example_run
     assert digests == PINNED[name]
 
 
 def test_example_work_counts_do_not_grow(example_run):
-    name, _, counts = example_run
+    name, _, counts, _ = example_run
     max_rhs, jacobians = WORK[name]
     assert counts["rhs"] <= max_rhs
     assert counts["jacobian"] == jacobians
+
+
+def test_estimate_re_solves_at_the_cost_of_the_reduced_solve(example_run):
+    # reduce's reduced solve, then estimate's re-solve of the same model: the
+    # one solve estimate adds takes the same rhs rows and Jacobians
+    _, _, _, solves = example_run
+    assert len(solves) == 2
+    assert solves[1] == solves[0]
+    assert solves[0]["jacobian"] == 1
 
 
 def _simple_pipeline(out, T, *estimate_args):
