@@ -226,6 +226,8 @@ def parse_psi(raw: str, dimension: int) -> np.ndarray:
         vec = np.array([_number("psi", v) for v in raw.split(",")])
         if len(vec) != dimension:
             raise ValueError(f"psi has {len(vec)} entries, system dimension is {dimension}")
+        if not np.any(vec):
+            raise ValueError("psi must be nonzero")
         return vec
     index = _number("psi", raw, int)
     if not 1 <= index <= dimension:

@@ -73,8 +73,8 @@ def solve_dual(dp: DualProblem, step: float) -> Trajectory:
     system's rhs and Jacobian and keeps the last run of times it evaluated
     with their A, which times that continue the run reuse: a step's rhs
     evaluations share one A with its chord matrix, and a block's check, one
-    rhs call, shares its stack with the block's Newton correction and second
-    check.  So each dual step takes one Jacobian, through ``jacobian``.  The
+    rhs call, shares its first A with the block's first evaluation.  So each
+    dual step takes one Jacobian, through ``jacobian``.  The
     dual step must resolve the fastest active time scale, as the primal's
     must, or RuntimeError names the primal time t = T - s where it failed.
     The returned trajectory is oriented forward in t.

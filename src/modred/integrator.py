@@ -16,15 +16,12 @@ matrix by one doubling scan (Blelloch, "Prefix sums and their applications",
 1990), checks them all by one rhs batch at their midpoints, and keeps the
 prefix that meets the per-step stopping rule, after one chord correction of
 that prefix from the defects the check found; a whole pass doubles the
-block, anything else halves it for the rest of the solve.  A block whose
-first step fails takes its Jacobian stack and one Newton correction, each
-step with its own Jacobian, before it is checked again, so that a linear
-system whose matrix varies along the block, such as a dual, steps in blocks
-too.  The correction does for a block what returning g does for a step
-solved alone: a node passes with a defect up to the tolerance, and leaves
-with a contracted one.  The two paths agree to the tolerance, not to
-roundoff; on an affine system the corrected nodes are exact up to the scan's
-roundoff.
+block, anything else halves it for the rest of the solve.  The correction
+does for a block what returning g does for a step solved alone: a node
+passes with a defect up to the tolerance, and leaves with a contracted one.
+The two paths agree to the tolerance, not to roundoff.  A block evaluates no
+Jacobian, so a system whose Jacobian varies along it fails the block's first
+step and steps alone; the chord matrix and its step guard are the steps'.
 """
 
 from __future__ import annotations
@@ -130,22 +127,14 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
 
 
 def _chord_scan(M: Array, c: Array) -> Array:
-    """Rows d_j = P_j d_{j-1} + M_j c_j from d_0 = 0, P_j = 2M_j - I: the chord
-    linearization of consecutive midpoint steps driven by the rows c_j of c.
-    One M serves every row by a Hillis-Steele doubling scan; a stack of one
-    M_j per row (a Newton correction) is stepped in order, as a scan would
-    multiply its matrices."""
-    if M.ndim == 2:
-        d = c @ M.T
-        P, h = 2.0 * M - np.eye(len(M)), 1
-        while h < len(d):
-            d[h:] += d[:-h] @ P.T
-            P, h = P @ P, 2 * h
-        return d
-    d = (M @ c[..., None])[..., 0]
-    P = 2.0 * M - np.eye(M.shape[-1])
-    for P_j, prev, row in zip(P[1:], d, d[1:]):
-        row += P_j.dot(prev)
+    """Rows d_j = P d_{j-1} + M c_j from d_0 = 0, P = 2M - I: the chord
+    linearization of consecutive midpoint steps driven by the rows c_j of c,
+    by a Hillis-Steele doubling scan."""
+    d = c @ M.T
+    P, h = 2.0 * M - np.eye(len(M)), 1
+    while h < len(d):
+        d[h:] += d[:-h] @ P.T
+        P, h = P @ P, 2 * h
     return d
 
 
@@ -155,36 +144,22 @@ def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array) -> 
 
     The prediction holds the first chord correction from u, k f(u, t_mid),
     fixed over the block, and is checked by one rhs batch at its midpoints.
-    If not even its first step passes, a system with an analytic Jacobian
-    takes the Jacobian stack at those midpoints and one Newton correction,
-    each step with its own Jacobian, and is checked again; the block carries
-    nothing to the next.  The defects r_j = U_{j-1} + k f(mid_j) - U_j of the
-    passing prefix drive one last chord correction, as a step solved alone
-    returns g after its check.  f at u is the first evaluation of a step
-    solved alone, so its errors are that step's; an evaluation at a
-    predicted midpoint that fails in any way passes no step.
+    The defects r_j = U_{j-1} + k f(mid_j) - U_j of the passing prefix drive
+    one last chord correction, as a step solved alone returns g after its
+    check.  f at u is the first evaluation of a step solved alone, so its
+    errors are that step's; an evaluation at a predicted midpoint that fails
+    in any way passes no step.
     """
     k = np.diff(times)
     t_mids = times[:-1] + 0.5 * k
     r1 = k[0] * evaluate_rhs(sys, u[None], t_mids[:1])
     nodes = u + _chord_scan(M, np.repeat(r1, len(k), axis=0))
-
-    def defects(nodes):
-        left = np.vstack((u, nodes[:-1]))
-        r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
-        return r, row_norms(r) <= FIXED_POINT_TOL * np.maximum(1.0, row_norms(nodes + r))
-
+    left = np.vstack((u, nodes[:-1]))
     try:
-        r, passed = defects(nodes)
-        if not passed[0] and sys.jacobian is not None:
-            hJ = 0.5 * k[:, None, None] * jacobian(sys, 0.5 * (np.vstack((u, nodes[:-1])) + nodes), t_mids)
-            # The step guard, (k/2) rho(J) < 1, by rho^2 <= ||((k/2) J)^2||_F: a
-            # block it does not clear is left to steps solved alone.
-            if np.all(np.linalg.norm(hJ @ hJ, axis=(1, 2)) < 1.0):
-                nodes = nodes + _chord_scan(np.linalg.inv(np.eye(len(u)) - hJ), r)
-                r, passed = defects(nodes)
+        r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
     except Exception:
         return nodes[:0]
+    passed = row_norms(r) <= FIXED_POINT_TOL * np.maximum(1.0, row_norms(nodes + r))
     m = len(k) if passed.all() else int(np.argmin(passed))
     return nodes[:m] + _chord_scan(M, r[:m])
 
@@ -196,11 +171,10 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
     returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <=
     FIXED_POINT_TOL * max(1, ||g||); a step taken in a block (systems
     of fewer than BLOCK_CROSSOVER components) passes the same check at its
-    predicted node v, after a Newton correction where its first step failed,
-    and returns v plus the block's chord correction from those defects.  A
-    block spans at most stack_rows(N) steps, so its check is one rhs call of
-    a vectorized system, and starts after a step solved alone has set the
-    chord matrix, so a system at rest steps alone.
+    predicted node v and returns v plus the block's chord correction from
+    those defects.  A block spans at most stack_rows(N) steps, so its check
+    is one rhs call of a vectorized system, and starts after a step solved
+    alone has set the chord matrix, so a system at rest steps alone.
     Raises ConvergenceError when a step is too large or does not converge,
     and EvaluationError, naming t and the component, for a non-finite rhs
     value, both for the interval a step solved alone names.  An rhs

@@ -294,7 +294,7 @@ def format_model_report(model: SubgridModel) -> str:
 
 def parse_model_report(text: str) -> SubgridModel:
     """Inverse of format_model_report."""
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, bool, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -302,12 +302,17 @@ def parse_model_report(text: str) -> SubgridModel:
             continue
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key in meta:
+                raise ValueError(
+                    f"model report header '# {key}' appears twice, on lines {meta[key][0]} and {lineno}"
+                )
+            meta[key] = (lineno, value.strip())
             continue
         fields = line.split()
-        if len(fields) != 3 or fields[1] not in ("active", "inactive"):
-            raise ValueError(f"malformed model report line: {raw!r}")
         try:
+            if len(fields) != 3 or fields[1] not in ("active", "inactive"):
+                raise ValueError("expected 'index active|inactive value'")
             rows.append((int(fields[0]), fields[1] == "active", float(fields[2])))
         except ValueError as err:
             raise ValueError(f"malformed model report line {lineno}: {raw!r} ({err})") from None
@@ -320,7 +325,11 @@ def parse_model_report(text: str) -> SubgridModel:
     def vector(key):
         if key not in meta:
             raise ValueError(f"model report is missing the '# {key} = ...' header")
-        return np.array([float(v) for v in meta[key].split()])
+        lineno, value = meta[key]
+        try:
+            return np.array([float(v) for v in value.split()])
+        except ValueError as err:
+            raise ValueError(f"model report header '# {key}' on line {lineno}: {value!r} ({err})") from None
 
     def scalar(key):
         values = vector(key)

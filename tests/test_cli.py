@@ -903,13 +903,19 @@ def test_psi_as_a_vector_gives_the_estimate_of_its_index(tmp_path):
         ("1,0,0", "psi has 3 entries, system dimension is 4"),
         ("0", "psi component index 0 outside 1..4"),
         ("5", "psi component index 5 outside 1..4"),
+        ("0,0,0,0", "psi must be nonzero"),
     ],
 )
-def test_psi_that_does_not_fit_the_system_is_a_config_error(tmp_path, capsys, psi, message):
+def test_psi_that_does_not_fit_the_system_is_a_config_error(tmp_path, capsys, monkeypatch, psi, message):
+    # psi is refused before estimate solves the reduced model again
     cfg = _reduce_short_simple(tmp_path, "psi")
     capsys.readouterr()
+    solves = []
+    solve = modred.cli.solve_cg1
+    monkeypatch.setattr(modred.cli, "solve_cg1", lambda *args: solves.append(1) or solve(*args))
     assert run_cli("estimate", cfg, "--psi", psi) == 1
     assert message in capsys.readouterr().err
+    assert not solves
     assert not (tmp_path / "psi.estimate.txt").exists()
 
 
@@ -931,16 +937,19 @@ def _replace_line(prefix, new):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda lines: lines + ["5 dormant 0"], "malformed model report line: '5 dormant 0'"),
+        (lambda lines: lines + ["5 dormant 0"], "malformed model report line 10: '5 dormant 0'"),
         (lambda lines: [line for line in lines if line.startswith("#")], "model report contains no component lines"),
         (_replace_line("1 ", "7 active 0"), "model report component indices must be 1..N"),
         (lambda lines: [line for line in lines if not line.startswith("# u0")], "model report is missing the '# u0 = ...' header"),
         (_replace_line("# oscillation_amplitude", "# oscillation_amplitude = 0 0 0"), "model arrays must have equal length"),
         (_replace_line("3 ", "3 active nan"), "subgrid constants must be finite"),
         (_replace_line("# u0", "# u0 = 0 0 inf 0"), "reduced initial value must be finite"),
+        (_replace_line("# u0", "# u0 = 0 x"), "model report header '# u0' on line 3: '0 x'"),
+        (lambda lines: ["# tau = 1", "# tau = 2"] + [line for line in lines if not line.startswith("# tau")],
+         "model report header '# tau' appears twice, on lines 1 and 2"),
     ],
     ids=["malformed-line", "no-components", "indices-not-1-to-N", "missing-header", "unequal-lengths",
-         "non-finite-constant", "non-finite-u0"],
+         "non-finite-constant", "non-finite-u0", "header-not-a-number", "repeated-header"],
 )
 def test_estimate_rejects_a_broken_model_report(tmp_path, capsys, edit, message):
     cfg = _reduce_short_simple(tmp_path, "rep")

@@ -264,12 +264,11 @@ def test_dual_propagators_agree_with_direct_step_solves(build):
     ids=["reduced-simple", "simple", "reduced-lattice-p2", "reduced-lattice-p4"],
 )
 def test_dual_takes_one_jacobian_state_per_step(build, monkeypatch):
-    # the small systems step in blocks of stacked states, whether their
-    # Jacobian is constant (the reduced simple model) or varies along the
-    # primal (the others, whose blocks take a Newton correction), and the
-    # reduced lattice at p=4 (100 components, 36 frozen) one interval at a
-    # time; either way a step's rhs evaluations, chord matrix and Newton
-    # matrix share its midpoint's Jacobian
+    # the reduced simple model, whose Jacobian is constant, steps in blocks
+    # of stacked states; the others, whose Jacobian varies along the primal,
+    # and the reduced lattice at p=4 (100 components, 36 frozen) one interval
+    # at a time; either way a step's rhs evaluations and chord matrix share
+    # its midpoint's Jacobian
     dp = build()
     rows = []
     counted = modred.dual.jacobian
@@ -282,7 +281,7 @@ def test_dual_takes_one_jacobian_state_per_step(build, monkeypatch):
     phi = solve_dual(dp, 0.01).states
     monkeypatch.undo()
     assert sum(rows) == len(phi) - 1
-    assert (max(rows) > 1) == (dp.sys.dimension < BLOCK_CROSSOVER)
+    assert (max(rows) > 1) == (build is _reduced_simple_dual_problem)
     _assert_close(phi, _dual_reference(dp, 0.01))
 
 

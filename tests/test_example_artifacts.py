@@ -10,7 +10,7 @@ The same runs count every rhs and Jacobian evaluation of the problem system
 of states counts one evaluation per row, so batching rows into fewer calls
 leaves the count as it is.  The counts are deterministic, so they gate work: a
 change may lower the rhs count, never raise it.  The Jacobian count is exact:
-one per dual step (1,000 simple, 400 lattice) plus the chord-Newton Jacobian of
+one per dual step (1,000 simple, 400 lattice) plus the chord matrix's Jacobian of
 each of the seven solves per pipeline (the fit window, the reduced solve, its
 re-solve in `estimate` and four control-point windows), so a hidden Jacobian
 refresh fails the gate.  The re-solve must cost exactly what the reduced solve

@@ -368,30 +368,20 @@ def _varying_rotation():
     )
 
 
-def test_linear_time_varying_system_steps_in_blocks():
+def test_linear_time_varying_system_steps_alone():
     # the chord prediction holds one matrix, so no block's first step
-    # passes its check; one Newton correction, each step with its own
-    # Jacobian, makes every block pass whole (32 rhs calls, 4,010 rows),
-    # where the per-step loop makes at least 2 calls per step (4,000 here).
-    # The block nodes lie no farther from a solve at tolerance 1e-16 than
-    # the per-step loop's (measured: 1.6e-15 against 1.7e-12)
+    # passes its check: the block halves to one step, and every node is
+    # the per-step loop's, bit for bit
     sys = _varying_rotation()
     part = TimePartition.uniform(0.0, 20.0, 0.01)
-    counted, counts = rhs_counted(sys)
-    block = solve_cg1(counted, part)
-    tight = _per_step_chord(sys, part, tol=1e-16)
-    block_error = np.max(np.abs(block.states - tight))
-    assert block_error <= 1e-12
-    assert block_error <= np.max(np.abs(_per_step_chord(sys, part) - tight))
-    assert np.max(_midpoint_defects(block, sys)) <= 1.0
-    assert counts["calls"] <= 100
+    np.testing.assert_array_equal(solve_cg1(sys, part).states, _per_step_chord(sys, part))
 
 
-def test_newton_blocks_keep_the_step_guard():
+def test_blocks_keep_the_chord_step_guard():
     # u' = -c(t) u with c jumping from 1 to 1e4 at t = 0.55, as in the test
-    # above, with a Jacobian that takes stacks: a Newton correction would
-    # carry a block past the jump (the midpoint rule is A-stable), so the
-    # guard must refuse it and leave the step to be solved alone
+    # above, with a Jacobian that takes stacks: no block may carry a step
+    # past the jump (the midpoint rule is A-stable), so the step is solved
+    # alone and the chord loop's guard raises on it
     def c(t):
         return np.where(np.asarray(t) < 0.55, 1.0, 1e4)
 
@@ -413,9 +403,9 @@ def test_newton_blocks_keep_the_step_guard():
 
 def test_a_block_check_is_one_rhs_call():
     # a block spans at most one rhs stack, so its check is one call that
-    # starts at the time of the call before it: the block's first row, or
-    # its check before a Newton correction.  A check split over two stacks
-    # would make the dual's run cache take a block's Jacobians twice
+    # starts at the time of the call before it, the block's first row.  A
+    # check split over two stacks would make the dual's run cache take a
+    # block's Jacobians twice
     A = np.random.default_rng(5).standard_normal((20, 20))
     A -= A.T
     calls = []
