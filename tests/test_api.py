@@ -47,7 +47,7 @@ RHS_READERS = KERNELS | {("integrator.py", "solve_cg1"), ("reduction.py", "assem
 # stacks against its rows when it loads one.
 VECTORIZED_READERS = KERNELS | {
     ("system.py", "jacobian"),
-    ("cli.py", "_check_stack_promises"),
+    ("cli.py", "_check_external_kernels"),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -674,6 +675,16 @@ def test_estimate_rejects_a_csv_cut_to_its_header(tmp_path, capsys):
     assert not (tmp_path / "cut.estimate.txt").exists()
 
 
+def test_estimate_rejects_a_csv_whose_last_row_is_not_numbers(tmp_path, capsys):
+    cfg = _reduce_short_simple(tmp_path, "text")
+    csv = tmp_path / "text.csv"
+    _edit_last_row(csv, 2, "abc")
+    capsys.readouterr()
+    assert run_cli("estimate", cfg) == 1
+    assert f"error: {csv}: its second or last row is not numbers" in capsys.readouterr().err
+    assert not (tmp_path / "text.estimate.txt").exists()
+
+
 @pytest.mark.parametrize("step", ["0.01", "0.05"])
 def test_estimate_rejects_a_csv_that_solve_wrote(tmp_path, capsys, step):
     # a full solve at another step fails the reduced_step check; at the
@@ -850,9 +861,10 @@ def test_artifacts_are_overwritten_in_place(tmp_path, monkeypatch):
         ("problem = simple\nobservables = diameter\n", "observable 'diameter' requires the lattice problem"),
         ("problem = lattice\nobservables = diameter, width\n", "unknown observable 'width'"),
         ("problem = simple\nT 10\n", "c.cfg:2: expected 'key = value', got 'T 10'"),
+        ("problem = simple\nT = 1\n# T = 3\nT = 2\n", "c.cfg: config key T appears twice, on lines 2 and 4"),
     ],
     ids=["unknown-problem", "external-file-without-path", "kappa-zero", "no-control-points",
-         "observable-off-lattice", "unknown-observable", "line-without-equals"],
+         "observable-off-lattice", "unknown-observable", "line-without-equals", "repeated-key"],
 )
 def test_invalid_config_is_a_config_error(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path / "c.cfg", text + f"output = {tmp_path/'v'}\n")
@@ -989,7 +1001,7 @@ def test_help_exits_0_and_extra_example_arguments_exit_1(capsys):
     assert run_cli("--help") == 0
     assert capsys.readouterr().out.startswith("usage: modred")
     assert run_cli("example", "simple", "extra") == 1
-    assert "unexpected arguments: ['extra']" in capsys.readouterr().err
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
 
 
 def test_python_m_modred_runs_the_command_line():
@@ -1002,4 +1014,131 @@ def test_python_m_modred_runs_the_command_line():
     done = python_m_modred("example", "simple")
     assert (done.returncode, done.stdout) == (0, modred.cli._EXAMPLE_CONFIGS["simple"])
     done = python_m_modred("example", "simple", "extra")
-    assert done.returncode == 1 and "unexpected arguments" in done.stderr
+    assert done.returncode == 1 and "unrecognized arguments: extra" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "estimate"])
+def test_help_of_each_run_command_lists_every_config_key(capsys, command):
+    assert run_cli(command, "--help") == 0
+    out = capsys.readouterr().out
+    assert all(f"--{f.name} VALUE" in out for f in dataclasses.fields(modred.cli.RunConfig))
+    assert "--key=value" in out
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--reduced", "0.1"], "unrecognized arguments: --reduced 0.1"),
+        (["--no_such_key", "1"], "unrecognized arguments: --no_such_key 1"),
+        (["--T"], "argument --T: expected one argument"),
+        (["extra"], "unrecognized arguments: extra"),
+    ],
+    ids=["abbreviated", "unknown", "no-value", "extra"],
+)
+def test_command_line_that_argparse_refuses_exits_1(tmp_path, capsys, args, message):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = simple\nkappa = 1\nT = 1\noutput = {tmp_path/'u'}\n")
+    assert run_cli("solve", cfg, *args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "u.csv").exists()
+
+
+def test_every_key_takes_the_equals_form():
+    parser = modred.cli._parser()
+    for f in dataclasses.fields(modred.cli.RunConfig):
+        spaced = parser.parse_args(["reduce", "c.cfg", f"--{f.name}", "7"])
+        joined = parser.parse_args(["reduce", "c.cfg", f"--{f.name}=-7"])
+        assert (spaced.overrides, joined.overrides) == ([(f.name, "7")], [(f.name, "-7")])
+
+
+def test_a_value_that_starts_with_minus_takes_the_equals_form(tmp_path, capsys):
+    # psi = -e1 bounds the same error as e1: the dual is linear in psi
+    cfg = _reduce_short_simple(tmp_path, "neg")
+    assert run_cli("estimate", cfg, "--psi", "1") == 0
+    expected = (tmp_path / "neg.estimate.txt").read_bytes()
+    assert run_cli("estimate", cfg, "--psi=-1,0,0,0") == 0
+    assert (tmp_path / "neg.estimate.txt").read_bytes() == expected
+    # a plain negative number still reads as a value
+    capsys.readouterr()
+    assert run_cli("estimate", cfg, "--psi", "-1") == 1
+    assert "psi component index -1 outside 1..4" in capsys.readouterr().err
+
+
+def test_a_command_line_value_is_read_as_the_config_file_value(tmp_path):
+    text = f"problem = lattice\np = 2\nT = 0.01\nobservables = d_small\noutput = {tmp_path/'lat'}\n"
+    cfg = write_config(tmp_path / "c.cfg", text)
+    in_file = write_config(tmp_path / "d.cfg", text + "displacement = -1e-3\n")
+    assert run_cli("solve", in_file) == 0
+    expected = (tmp_path / "lat.csv").read_bytes()
+    assert run_cli("solve", cfg, "--displacement=-1e-3") == 0
+    assert (tmp_path / "lat.csv").read_bytes() == expected
+
+
+def test_overrides_apply_in_command_line_order_and_only_to_their_command(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.cfg", f"problem = simple\nkappa = 1\nT = 10\nstep = 0.1\noutput = {tmp_path/'o'}\n"
+    )
+    assert run_cli("solve", cfg, "--T", "5", "--T", "1") == 0
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 1 + 11
+    # the parser is built once; the next command sees the file's T again
+    assert run_cli("solve", cfg) == 0
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 1 + 101
+
+
+_RAISING_PROBLEM = """
+import numpy as np
+from modred import DynamicalSystem
+
+def rhs(u, t):
+    {rhs}
+
+def jac(u, t):
+    {jac}
+
+def make_system():
+    return DynamicalSystem(2, rhs, np.array([1.0, 0.0]), jacobian=jac, vectorized={vectorized})
+"""
+
+
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        # the rhs of a system that is not vectorized was never called at load
+        ({"rhs": "return {'x': u}['v']", "vectorized": False}, "rhs fails at 3 states near u0: KeyError: 'v'"),
+        ({"jac": "raise ZeroDivisionError('no jacobian')", "vectorized": False},
+         "jacobian fails at 3 states near u0: ZeroDivisionError: no jacobian"),
+        # written for stacks only: one state has no second axis
+        ({"rhs": "return np.stack([u[:, 1], -u[:, 0]], axis=-1)", "vectorized": True},
+         "rhs fails at 3 states near u0: IndexError: too many indices"),
+    ],
+    ids=["rhs", "jacobian", "vectorized-rhs-per-state"],
+)
+def test_problem_file_kernel_that_raises_at_load_is_a_config_error(tmp_path, capsys, code, message):
+    kernels = {"rhs": "return np.stack([u[..., 1], -u[..., 0]], axis=-1)",
+               "jac": "return np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (*u.shape[:-1], 2, 2)).copy()"}
+    problem = tmp_path / "raising.py"
+    problem.write_text(_RAISING_PROBLEM.format(**{**kernels, **code}))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n"
+        f"tau = 0.1\noutput = {tmp_path/'s'}\n",
+    )
+    for command in ("solve", "reduce"):
+        assert run_cli(command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem file {str(problem)!r}: ") and message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_problem_file_load_check_takes_three_states_per_kernel(tmp_path):
+    problem = tmp_path / "counted.py"
+    problem.write_text(
+        _RAISING_PROBLEM.format(
+            rhs="CALLS.append('rhs'); return np.array([u[1], -u[0]])",
+            jac="CALLS.append('jacobian'); return np.array([[0.0, 1.0], [-1.0, 0.0]])",
+            vectorized=False,
+        )
+        + "\nCALLS = []\n"
+    )
+    system = modred.cli._load_external_system(str(problem))
+    assert system.rhs.__globals__["CALLS"] == ["rhs"] * 3 + ["jacobian"] * 3

@@ -142,10 +142,22 @@ def _simple_pipeline(out, T, *estimate_args):
 @pytest.mark.parametrize("T", [100, 2000])
 def test_repeated_pipelines_in_one_process_are_byte_identical(T, tmp_path, monkeypatch):
     # the benchmark compares every repeat with the first in one process, so
-    # nothing a solve decides, such as its block sizes, may outlive the solve
+    # nothing a solve decides, such as its block sizes, may outlive the
+    # solve: a repeat writes the same bytes, and each of its CLI-level solves
+    # and the whole pipeline take the same rhs rows and Jacobian states
     monkeypatch.chdir(tmp_path)
+    counts = {"rhs": 0, "jacobian": 0}
+    solves = []
+    monkeypatch.setattr(modred.cli, "build_system", _counting_build_system(modred.cli.build_system, counts))
+    monkeypatch.setattr(modred.cli, "solve_cg1", _counting_solve(modred.cli.solve_cg1, counts, solves))
     assert main(["example", "simple", "-o", "simple.cfg"]) == 0
-    assert _simple_pipeline(tmp_path, T) == _simple_pipeline(tmp_path, T)
+    runs = []
+    for _ in range(2):
+        before, first = dict(counts), len(solves)
+        artifacts = _simple_pipeline(tmp_path, T)
+        runs.append((artifacts, solves[first:], {key: counts[key] - before[key] for key in counts}))
+    assert len(runs[0][1]) == 2 and runs[0][2]["jacobian"] > 0
+    assert runs[1] == runs[0]
 
 
 def test_simple_bound_holds_against_the_closed_form_at_T_2000(tmp_path, monkeypatch):
