@@ -498,8 +498,10 @@ def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first command, not at import, and
     kept: parsing keeps no state on it.  Every ``RunConfig`` field is an
     option of `solve`, `reduce` and `estimate`, collected in order as
-    ``(key, value)`` overrides.  On a 2-core Xeon (Python 3.11) it builds in
-    about 0.9 ms, 2.5 ms the first time, and parses `estimate x.cfg` in 18 us."""
+    ``(key, value)`` overrides.  Each command's parser is its ``command_parser``
+    default, so that arguments it does not take are reported with its own usage
+    line.  On a 2-core Xeon (Python 3.11) it builds in about 0.9 ms, 2.5 ms the
+    first time, and parses `estimate x.cfg` in 18 us."""
     parser = argparse.ArgumentParser(
         prog="modred",
         description="Automatic model reduction for multiscale ODE systems.",
@@ -511,15 +513,19 @@ def _parser() -> argparse.ArgumentParser:
         for f in fields(RunConfig):
             pair = lambda value, key=f.name: (key, value)  # noqa: E731
             run.add_argument(f"--{f.name}", metavar="VALUE", dest="overrides", action="append", type=pair)
+        run.set_defaults(command_parser=run)
     example = sub.add_parser("example")
     example.add_argument("name", choices=sorted(_EXAMPLE_CONFIGS))
     example.add_argument("-o", "--output", default=None)
+    example.set_defaults(command_parser=example)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as err:
         return 0 if err.code == 0 else 1
 

@@ -211,9 +211,12 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                 continue
             k = times[j] - times[j - 1]
             t_mid = times[j - 1] + 0.5 * k
-            v = u_prev
+            # The first midpoint 0.5 * (u_prev + u_prev) is u_prev bit for bit
+            # (short of overflow), so f is first evaluated at the stored node.
+            v = mid = u_prev
             for it in range(MAX_CHORD_ITERS):
-                mid = 0.5 * (u_prev + v)
+                if it:
+                    mid = 0.5 * (u_prev + v)
                 g = u_prev + k * rhs_value(rhs(mid, t_mid), n)
                 r = g - v
                 # x.dot(x) is np.linalg.norm's own path for a 1-D vector.

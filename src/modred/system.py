@@ -41,8 +41,10 @@ class DynamicalSystem:
     time partition sets the span it covers.
 
     ``rhs(u, t)`` must return a length-``dimension`` vector and must not mutate
-    its arguments.  ``jacobian(u, t)``, if given, returns the N x N matrix with
-    entry (i, j) = d f_i / d u_j; otherwise central finite differences are used.
+    its arguments: solve_cg1 passes a stored node itself, U_{j-1} for the
+    first evaluation of each step solved alone.  ``jacobian(u, t)``, if
+    given, returns the N x N matrix with entry (i, j) = d f_i / d u_j;
+    otherwise central finite differences are used.
     ``oscillator_pairs`` lists (position, velocity) index pairs of fast
     oscillator components, used by the model-reduction inactivation rule.
     A ``vectorized`` system's rhs also takes a stack: states of shape

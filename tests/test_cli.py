@@ -1001,7 +1001,9 @@ def test_help_exits_0_and_extra_example_arguments_exit_1(capsys):
     assert run_cli("--help") == 0
     assert capsys.readouterr().out.startswith("usage: modred")
     assert run_cli("example", "simple", "extra") == 1
-    assert "unrecognized arguments: extra" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modred example")
+    assert "unrecognized arguments: extra" in err
 
 
 def test_python_m_modred_runs_the_command_line():
@@ -1040,6 +1042,15 @@ def test_command_line_that_argparse_refuses_exits_1(tmp_path, capsys, args, mess
     assert run_cli("solve", cfg, *args) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "estimate"])
+def test_unknown_option_is_reported_with_the_run_commands_usage(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.cfg", f"problem = simple\nkappa = 1\nT = 1\noutput = {tmp_path/'u'}\n")
+    assert run_cli(command, cfg, "--T", "1", "--no_such_key", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: modred {command} [-h] [--problem VALUE]")
+    assert f"modred {command}: error: unrecognized arguments: --no_such_key 1" in err
 
 
 def test_every_key_takes_the_equals_form():

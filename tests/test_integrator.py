@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -244,6 +245,28 @@ def test_block_path_agrees_with_the_per_step_loop(simple_reduced, case, max_call
     assert np.all(np.abs(block.states - reference) <= scale)
     assert counts["calls"] <= max_calls
     assert np.max(_midpoint_defects(block, sys)) <= 1.0
+
+
+def test_a_step_solved_alone_first_evaluates_f_at_the_previous_node():
+    # 0.5 * (u + u) is u bit for bit, so the first chord evaluation of each
+    # step is at U_{j-1} itself and the window makes the rhs calls the
+    # midpoint form made: 4,446 for this p=3 window
+    sys = make_lattice(LatticeSpec(p=3, m=1e-4))
+    assert sys.dimension >= BLOCK_CROSSOVER
+    part = TimePartition.uniform(0.0, 2.0, 0.002)
+    calls = []
+    rhs = sys.rhs
+
+    def recorded(u, t):
+        calls.append((t, u.copy()))
+        return rhs(u, t)
+
+    traj = solve_cg1(dataclasses.replace(sys, rhs=recorded), part)
+    # every call of a step is at that step's t_mid, so a new t starts a step
+    firsts = np.array([u for i, (t, u) in enumerate(calls) if i == 0 or t != calls[i - 1][0]])
+    assert len(firsts) == len(part.times) - 1
+    np.testing.assert_array_equal(firsts.view(np.int64), traj.states[:-1].view(np.int64))
+    assert len(calls) == 4446
 
 
 def _small_beside_large(c3):

@@ -270,17 +270,26 @@ def _add_at_kernels(spec):
     return rhs, jac
 
 
-@pytest.mark.parametrize("p", [2, 3, 6])
-def test_lattice_kernels_equal_the_add_at_reference(p, rng):
-    # the bincount scatter adds in np.add.at's order, so no bit may move
-    spec = LatticeSpec(p=p, m=1e-4)
+# (p, kappa, M, m): kappa = 1 makes kappa * x exact, so the second set would
+# catch a kernel that drops or moves the kappa factor
+LATTICE_SPECS = [
+    *(pytest.param(p, 1.0, 100.0, 1e-4, id=str(p)) for p in (2, 3, 6, 10)),
+    *(pytest.param(p, 0.37, 3.0, 2e-3, id=f"{p}-kappa0.37") for p in (2, 3, 6, 10)),
+]
+
+
+@pytest.mark.parametrize("p, kappa, M, m", LATTICE_SPECS)
+def test_lattice_kernels_equal_the_add_at_reference(p, kappa, M, m, rng):
+    # the bincount scatter adds in np.add.at's order, so no bit may move;
+    # int64 views compare bits, so -0.0 and 0.0 differ as well
+    spec = LatticeSpec(p=p, M=M, m=m, kappa=kappa)
     sys = make_lattice(spec)
     ref_rhs, ref_jac = _add_at_kernels(spec)
     for scale in (1e-6, 1e-3, 1e-1):
         for _ in range(10):
             u = sys.initial_value + rng.normal(scale=scale, size=sys.dimension)
-            np.testing.assert_array_equal(sys.rhs(u, 0.0), ref_rhs(u))
-            np.testing.assert_array_equal(sys.jacobian(u, 0.0), ref_jac(u))
+            np.testing.assert_array_equal(sys.rhs(u, 0.0).view(np.int64), ref_rhs(u).view(np.int64))
+            np.testing.assert_array_equal(sys.jacobian(u, 0.0).view(np.int64), ref_jac(u).view(np.int64))
 
 
 def _take_rhs(spec):
@@ -309,10 +318,11 @@ def _take_rhs(spec):
     return rhs
 
 
-@pytest.mark.parametrize("p", [2, 3, 6])
-def test_lattice_rhs_equals_the_two_take_reference(p, rng):
-    # one flat gather of both spring ends leaves every bit where it was
-    spec = LatticeSpec(p=p, m=1e-4)
+@pytest.mark.parametrize("p, kappa, M, m", LATTICE_SPECS)
+def test_lattice_rhs_equals_the_two_take_reference(p, kappa, M, m, rng):
+    # one flat gather of both spring ends, and the one-state branch, leave
+    # every bit where it was
+    spec = LatticeSpec(p=p, M=M, m=m, kappa=kappa)
     sys = make_lattice(spec)
     ref = _take_rhs(spec)
     stack = RHS_BLOCK_VALUES // sys.dimension
@@ -381,8 +391,10 @@ def _frozen_pairs(sys):
         lambda: make_simple_model(1e18),
         lambda: make_lattice(LatticeSpec(p=2)),
         lambda: make_lattice(LatticeSpec(p=6)),
+        lambda: make_lattice(LatticeSpec(p=2, M=3.0, m=2e-3, kappa=0.37)),
+        lambda: make_lattice(LatticeSpec(p=6, M=3.0, m=2e-3, kappa=0.37)),
     ],
-    ids=["simple", "lattice-p2", "lattice-p6"],
+    ids=["simple", "lattice-p2", "lattice-p6", "lattice-p2-kappa0.37", "lattice-p6-kappa0.37"],
 )
 def test_stacked_rhs_rows_equal_single_state_calls(build, reduce, rows, rng):
     sys = _frozen_pairs(build()) if reduce else build()
