@@ -33,7 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .dual import (
+    ControlPoint,
     DualProblem,
+    ErrorEstimate,
     error_estimate,
     format_control_report,
     format_estimate_report,
@@ -49,12 +51,13 @@ from .problems import (
     small_mass_distance,
 )
 from .reduction import (
+    SubgridModel,
     assemble_reduced,
     auto_model,
     format_model_report,
     parse_model_report,
 )
-from .system import DynamicalSystem, Trajectory, evaluate_rhs, jacobian
+from .system import FD_EPS_REL, DynamicalSystem, Trajectory, evaluate_rhs, jacobian
 
 #: Default resolved step as a fraction of tau (about 500 steps per window).
 RESOLVED_STEP_FRACTION = 1.0 / 500.0
@@ -180,8 +183,10 @@ def _check_external_kernels(system: DynamicalSystem, path: str) -> None:
     when it has one, evaluate at three states (u0 and two perturbations of
     it, at t = 0, 0.5 and 1) one state per call, and, for a vectorized
     system, unless a stack of those states gives the per-state values bit
-    for bit.  So a non-vectorized system takes 3 rhs evaluations at load,
-    and 3 Jacobian evaluations when it has an analytic one."""
+    for bit; and unless an analytic Jacobian agrees there with the central
+    finite-difference one.  So a non-vectorized system takes 3 rhs
+    evaluations at load, and 3 Jacobian and 3 * 2N more rhs evaluations
+    when it has an analytic Jacobian."""
     u0, n = system.initial_value, system.dimension
     wiggle = 1e-3 * np.maximum(np.abs(u0), 1.0) * np.cos(1.0 + np.arange(n))
     states = u0 + np.outer([0.0, 1.0, -0.5], wiggle)
@@ -197,8 +202,10 @@ def _check_external_kernels(system: DynamicalSystem, path: str) -> None:
     kernels = [("rhs", evaluate_rhs)]
     if system.jacobian is not None:
         kernels.append(("jacobian", jacobian))
+    values = {}
     for name, kernel in kernels:
         rows = evaluated(f"{name} fails at 3 states near u0", kernel, replace(system, vectorized=False))
+        values[name] = rows
         if not system.vectorized:
             continue
         stacked = evaluated(f"vectorized {name} fails on a stack of 3 states", kernel, system)
@@ -211,6 +218,26 @@ def _check_external_kernels(system: DynamicalSystem, path: str) -> None:
                 f"from its per-state value at row {row} (t={float(times[row])!r}); every row of a "
                 f"stack must equal the single-state call bit for bit"
             )
+    if system.jacobian is None:
+        return
+    analytic = values["jacobian"]
+    fd = evaluated(
+        "rhs fails at the finite-difference states near u0", jacobian, replace(system, jacobian=None)
+    )
+    # Central differences err by about FD_EPS_REL**2 times the row's largest
+    # entry and round by about FD_EPS_REL**2 * |f_i| / max(|u_j|, 1).  An entry
+    # passes within sqrt(FD_EPS_REL) (2.5e-3) times the one plus FD_EPS_REL
+    # times the other: far above both errors, and far below a wrong entry's.
+    row_scale = np.maximum(np.abs(analytic), np.abs(fd)).max(axis=2, keepdims=True)
+    rounding = np.abs(values["rhs"])[:, :, None] / np.maximum(np.abs(states), 1.0)[:, None, :]
+    wrong = np.abs(analytic - fd) > np.sqrt(FD_EPS_REL) * row_scale + FD_EPS_REL * rounding
+    if wrong.any():
+        k, i, j = (int(x[0]) for x in np.nonzero(wrong))
+        raise ValueError(
+            f"problem file {path!r}: analytic jacobian entry ({i}, {j}) is {float(analytic[k, i, j])!r} "
+            f"at state {k} of 3 near u0 (t={float(times[k])!r}), where central finite differences give "
+            f"{float(fd[k, i, j])!r}; entry (i, j) must be d f_i / d u_j"
+        )
 
 
 def build_system(cfg: RunConfig) -> tuple[DynamicalSystem, LatticeSpec | None]:
@@ -345,11 +372,18 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def reduce_run(system: DynamicalSystem, cfg: RunConfig) -> tuple[SubgridModel, Trajectory, Trajectory]:
+    """What `modred reduce` computes: the fit over [0, 2*tau] at resolved_step,
+    and the reduced solve over [0, T] at reduced_step.  Returns (model,
+    reduced trajectory, resolved run)."""
+    # Stages are called through this module's names, which perfbench/tracing.py rebinds.
+    reduced, model, resolved = auto_model(system, cfg.tau, cfg.resolved_step)
+    return model, solve_cg1(reduced, TimePartition.uniform(0.0, cfg.T, cfg.reduced_step)), resolved
+
+
 def cmd_reduce(cfg: RunConfig) -> int:
     system, spec = build_system(cfg)
-    reduced, model, resolved = auto_model(system, cfg.tau, cfg.resolved_step)
-    part = TimePartition.uniform(0.0, cfg.T, cfg.reduced_step)
-    traj = solve_cg1(reduced, part)
+    model, traj, resolved = reduce_run(system, cfg)
 
     csv_path = f"{cfg.output}.csv"
     write_csv(csv_path, traj, _observable_columns(cfg, spec, traj))
@@ -363,7 +397,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
     n_active = int(np.sum(model.active))
     print(
         f"[reduce] resolved {len(resolved.times) - 1} steps over [0, {2 * cfg.tau:g}], "
-        f"reduced {len(part.steps)} steps over [0, {cfg.T:g}]"
+        f"reduced {len(traj.times) - 1} steps over [0, {cfg.T:g}]"
     )
     print(
         f"[reduce] {n_active}/{model.dimension} components active; "
@@ -381,6 +415,21 @@ def _control_times(cfg: RunConfig) -> list[float]:
     if n == 1:
         return [0.5 * (lo + hi)]
     return list(np.linspace(lo, hi, n))
+
+
+def estimate_run(
+    system: DynamicalSystem, model: SubgridModel, traj: Trajectory, psi: np.ndarray, cfg: RunConfig
+) -> tuple[ErrorEstimate, tuple[ControlPoint, ...], Trajectory]:
+    """What `modred estimate` computes for the reduced trajectory ``traj`` of
+    ``model``: the dual of the functional ``psi`` back from T at
+    reduced_step, control points at ``control_points`` times in [2*tau,
+    T - 2*tau], and the bound.  Returns (estimate, control points, dual)."""
+    # Stages are called through this module's names, which perfbench/tracing.py rebinds.
+    control_times = _control_times(cfg)
+    reduced = assemble_reduced(system, model)
+    phi = solve_dual(DualProblem(primal=traj, sys=reduced, psi=psi), cfg.reduced_step)
+    points = validate_at_control_points(traj, system, model, control_times)
+    return error_estimate(traj, reduced, model, phi, points), points, phi
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -420,22 +469,16 @@ def cmd_estimate(cfg: RunConfig) -> int:
             f"{float(part.times[1])!r}, not at the time {second_time!r} in {csv_path}; "
             f"estimate with the reduced_step that `modred reduce` used"
         )
-    control_times = _control_times(cfg)
     psi = parse_psi(cfg.psi, system.dimension)
 
-    reduced = assemble_reduced(system, model)
-    traj = solve_cg1(reduced, part)
+    traj = solve_cg1(assemble_reduced(system, model), part)
     if traj.times[-1] != final_time or traj.states[-1].tobytes() != final_state.tobytes():
         raise ValueError(
             f"the reduced model in {model_path}, solved again, does not end on the last row "
             f"of {csv_path}; both must come from one run of `modred reduce` on the platform "
             f"and BLAS that estimate runs on, since another may round differently"
         )
-    dp = DualProblem(primal=traj, sys=reduced, psi=psi)
-    phi = solve_dual(dp, cfg.reduced_step)
-
-    points = validate_at_control_points(traj, system, model, control_times)
-    est = error_estimate(traj, reduced, model, phi, points)
+    est, points, _ = estimate_run(system, model, traj, psi, cfg)
 
     est_path = f"{cfg.output}.estimate.txt"
     with _overwritten(est_path) as fh:

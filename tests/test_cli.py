@@ -1152,4 +1152,52 @@ def test_problem_file_load_check_takes_three_states_per_kernel(tmp_path):
         + "\nCALLS = []\n"
     )
     system = modred.cli._load_external_system(str(problem))
-    assert system.rhs.__globals__["CALLS"] == ["rhs"] * 3 + ["jacobian"] * 3
+    # and the analytic Jacobian's finite-difference check, 2N rhs rows per state
+    fd_rows = 3 * 2 * system.dimension
+    assert system.rhs.__globals__["CALLS"] == ["rhs"] * 3 + ["jacobian"] * 3 + ["rhs"] * fd_rows
+
+
+@pytest.mark.parametrize(
+    "jac,message",
+    [
+        ("return np.array([[-3.0, 1.0], [-1.0, -3.0]])",
+         "analytic jacobian entry (0, 0) is -3.0 at state 0 of 3 near u0 (t=0.0), where central "
+         "finite differences give 0.0"),
+        # d f_2 / d u_1 without the quadratic term, right only near u_1 = 0
+        ("return np.array([[0.0, 1.0], [-1.0, 0.0]])",
+         "analytic jacobian entry (1, 0) is -1.0 at state 0 of 3 near u0 (t=0.0)"),
+        ("return np.array([[0.0, -1.0 + 0.6 * u[0]], [1.0, 0.0]])", "analytic jacobian entry (0, 1)"),
+    ],
+    ids=["wrong-matrix", "dropped-term", "transposed"],
+)
+def test_problem_file_with_a_wrong_jacobian_is_a_config_error(tmp_path, capsys, jac, message):
+    # u1' = u2, u2' = -u1 + 0.3 u1^2: the primal solve hides a wrong
+    # Jacobian, while the dual and the bound do not
+    rhs = "return np.array([u[1], -u[0] + 0.3 * u[0] ** 2])"
+    problem = tmp_path / "wrong.py"
+    problem.write_text(_RAISING_PROBLEM.format(rhs=rhs, jac=jac, vectorized=False))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        f"problem = external-file\nproblem_file = {problem}\nT = 1\nstep = 0.01\n"
+        f"tau = 0.1\noutput = {tmp_path/'s'}\n",
+    )
+    for command in ("solve", "reduce"):
+        assert run_cli(command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem file {str(problem)!r}: ") and message in err
+        assert "Traceback" not in err
+    assert list(tmp_path.glob("s.*")) == []
+
+
+def test_problem_file_jacobian_check_allows_for_the_quotients_rounding(tmp_path):
+    # the difference quotient of a weak coupling under a large constant
+    # rounds by 1.2% of the true entry
+    problem = tmp_path / "weak.py"
+    problem.write_text(
+        _RAISING_PROBLEM.format(
+            rhs="return np.array([u[1], -9.81 + 1e-8 * u[0]])",
+            jac="return np.array([[0.0, 1.0], [1e-8, 0.0]])",
+            vectorized=False,
+        )
+    )
+    modred.cli._load_external_system(str(problem))

@@ -20,15 +20,18 @@ from modred import (
     auto_model,
     averaged_values,
     error_estimate,
+    estimate_run,
     interpolate,
     jacobian,
     make_lattice,
     make_simple_model,
+    reduce_run,
     solve_cg1,
     solve_dual,
     stability_factors,
     validate_at_control_points,
 )
+from modred.cli import RunConfig
 from modred.integrator import BLOCK_CROSSOVER
 from modred.averaging import measure_gbar
 
@@ -421,11 +424,9 @@ def test_lattice_deviation_is_the_norm_the_bound_takes():
     # the lattice example's pipeline: several active components deviate, so
     # the 2-norm of the model term exceeds the largest single deviation
     sys = make_lattice(LatticeSpec(p=3, M=100.0, m=1e-4))
-    reduced, model, _ = auto_model(sys, 1.0, 0.002)
-    U = solve_cg1(reduced, TimePartition.uniform(0, 20.0, 0.05))
-    points = validate_at_control_points(U, sys, model, np.linspace(2.0, 18.0, 4))
-    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.ones(sys.dimension)), 0.05)
-    est = error_estimate(U, reduced, model, phi, points)
+    cfg = RunConfig(T=20.0, tau=1.0, resolved_step=0.002, reduced_step=0.05, control_points=4)
+    model, U, _ = reduce_run(sys, cfg)
+    est, points, _ = estimate_run(sys, model, U, np.ones(sys.dimension), cfg)
     for p in points:
         diff = (model.constants - p.gbar)[model.active]
         assert p.deviation == np.linalg.norm(diff)
