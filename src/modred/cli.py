@@ -88,6 +88,10 @@ class RunConfig:
     output: str = "run"
     observables: str = ""
 
+    def __post_init__(self):
+        if self.resolved_step is None:
+            self.resolved_step = self.tau * RESOLVED_STEP_FRACTION
+
     def validate(self) -> None:
         if self.problem not in ("simple", "lattice", "external-file"):
             raise ValueError(f"unknown problem {self.problem!r}")
@@ -155,8 +159,6 @@ def parse_config(path: str, overrides: list[tuple[str, str]] = ()) -> RunConfig:
         if value != "":
             values[key] = _coerce(key, value)
     cfg = RunConfig(**values)
-    if cfg.resolved_step is None:
-        cfg = replace(cfg, resolved_step=cfg.tau * RESOLVED_STEP_FRACTION)
     cfg.validate()
     return cfg
 

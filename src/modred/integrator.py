@@ -19,7 +19,9 @@ that prefix from the defects the check found; a whole pass doubles the
 block, anything else halves it for the rest of the solve.  The correction
 does for a block what returning g does for a step solved alone: a node
 passes with a defect up to the tolerance, and leaves with a contracted one.
-The two paths agree to the tolerance, not to roundoff.  A block evaluates no
+The two paths agree to the tolerance, not to roundoff.  The scan's powers of
+P = 2M - I are taken once per chord matrix: the solve keeps them for its
+blocks and discards them when a refresh sets a new M.  A block evaluates no
 Jacobian, so a system whose Jacobian varies along it fails the block's first
 step and steps alone; the chord matrix and its step guard are the steps'.
 """
@@ -126,21 +128,28 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
     return np.linalg.inv(A), float(np.sqrt(growth))
 
 
-def _chord_scan(M: Array, c: Array) -> Array:
+def _chord_scan(M: Array, c: Array, powers: list[Array]) -> Array:
     """Rows d_j = P d_{j-1} + M c_j from d_0 = 0, P = 2M - I: the chord
     linearization of consecutive midpoint steps driven by the rows c_j of c,
-    by a Hillis-Steele doubling scan."""
+    by a Hillis-Steele doubling scan.  ``powers`` holds P, P^2, P^4, ... of
+    this M, as far as earlier scans needed them, and is extended here."""
     d = c @ M.T
-    P, h = 2.0 * M - np.eye(len(M)), 1
+    h, level = 1, 0
     while h < len(d):
-        d[h:] += d[:-h] @ P.T
-        P, h = P @ P, 2 * h
+        if level == len(powers):
+            powers.append(powers[-1] @ powers[-1] if powers else 2.0 * M - np.eye(len(M)))
+        d[h:] += d[:-h] @ powers[level].T
+        h, level = 2 * h, level + 1
     return d
 
 
-def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array) -> Array:
-    """The nodes after u over the intervals of ``times``, predicted with the
-    chord matrix M, up to the first that fails solve_cg1's stopping rule.
+def _predicted_steps(
+    sys: DynamicalSystem, k: Array, t_mids: Array, u: Array, M: Array, powers: list[Array]
+) -> Array:
+    """The nodes after u over intervals of steps k and midpoint times t_mids,
+    predicted with the chord matrix M (its powers in ``powers``, as
+    _chord_scan keeps them), up to the first that fails solve_cg1's stopping
+    rule.
 
     The prediction holds the first chord correction from u, k f(u, t_mid),
     fixed over the block, and is checked by one rhs batch at its midpoints.
@@ -150,10 +159,8 @@ def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array) -> 
     errors are that step's; an evaluation at a predicted midpoint that fails
     in any way passes no step.
     """
-    k = np.diff(times)
-    t_mids = times[:-1] + 0.5 * k
     r1 = k[0] * evaluate_rhs(sys, u[None], t_mids[:1])
-    nodes = u + _chord_scan(M, np.repeat(r1, len(k), axis=0))
+    nodes = u + _chord_scan(M, np.repeat(r1, len(k), axis=0), powers)
     left = np.vstack((u, nodes[:-1]))
     try:
         r = left + k[:, None] * evaluate_rhs(sys, 0.5 * (left + nodes), t_mids) - nodes
@@ -161,7 +168,7 @@ def _predicted_steps(sys: DynamicalSystem, times: Array, u: Array, M: Array) -> 
         return nodes[:0]
     passed = row_norms(r) <= FIXED_POINT_TOL * np.maximum(1.0, row_norms(nodes + r))
     m = len(k) if passed.all() else int(np.argmin(passed))
-    return nodes[:m] + _chord_scan(M, r[:m])
+    return nodes[:m] + _chord_scan(M, r[:m], powers)
 
 
 def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> Trajectory:
@@ -185,13 +192,18 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
     if opts is not None:
         raise TypeError(f"solve_cg1 takes no options; its tolerance is FIXED_POINT_TOL, got {opts!r}")
     times = part.times
+    steps = np.diff(times)
+    mids = times[:-1] + 0.5 * steps
     rhs = sys.rhs
     n = sys.dimension
 
     states = np.empty((len(times), n))
     states[0] = sys.initial_value
     u_prev = states[0]
-    M = None
+    # The powers of P = 2M - I that blocks scan with, emptied wherever M is
+    # set, so no block reads the powers of an earlier M; they live in this
+    # call only, so no solve reads another's.
+    M, powers = None, []
     j, block, ceiling = 1, 1, stack_rows(n) if n < BLOCK_CROSSOVER else 1
 
     # A non-finite rhs value raises EvaluationError below; numpy's warnings
@@ -200,7 +212,8 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
         while j < len(times):
             m = min(block, len(times) - j)
             if m > 1 and M is not None:
-                accepted = _predicted_steps(sys, times[j - 1 : j + m], u_prev, M)
+                b = slice(j - 1, j - 1 + m)
+                accepted = _predicted_steps(sys, steps[b], mids[b], u_prev, M, powers)
                 states[j : j + len(accepted)] = accepted
                 j += len(accepted)
                 u_prev = states[j - 1]
@@ -209,8 +222,7 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                 else:
                     ceiling = block = block // 2
                 continue
-            k = times[j] - times[j - 1]
-            t_mid = times[j - 1] + 0.5 * k
+            k, t_mid = steps[j - 1], mids[j - 1]
             # The first midpoint 0.5 * (u_prev + u_prev) is u_prev bit for bit
             # (short of overflow), so f is first evaluated at the stored node.
             v = mid = u_prev
@@ -228,6 +240,7 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                     break
                 if M is None or (it and it % CHORD_REFRESH == 0):
                     M, rho = _chord_matrix(sys, mid, t_mid, k)
+                    powers = []
                     if not rho < 1.0:
                         raise ConvergenceError(j, float(times[j]), res, rho)
                 v = v + M @ r

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import modred.cli
-from modred import Trajectory
+from modred import Trajectory, make_simple_model
 from modred.cli import CSV_BLOCK, main, parse_config, read_csv, write_csv
 
 
@@ -39,6 +39,15 @@ def test_example_configs_parse(tmp_path, capsys):
     assert cfg.resolved_step == pytest.approx(cfg.tau / 500.0)
     assert run_cli("example", "simple") == 0
     assert "problem = simple" in capsys.readouterr().out
+
+
+def test_run_config_built_in_code_takes_the_default_resolved_step(tmp_path):
+    # a library caller that leaves resolved_step out gets tau/500, as a
+    # config file that leaves it out does; one given stays as given
+    model, _, _ = modred.cli.reduce_run(make_simple_model(1e18), modred.cli.RunConfig(T=1.0))
+    parsed = parse_config(write_config(tmp_path / "c.cfg", "problem = simple\nT = 1\n"))
+    assert model.resolved_step == parsed.resolved_step == pytest.approx(1e-7 / 500.0)
+    assert modred.cli.RunConfig(tau=1.0, resolved_step=0.003).resolved_step == 0.003
 
 
 def test_solve_row_count(tmp_path):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import modred.integrator
 from conftest import forced_oscillator, rhs_counted, rotation_system
 from modred import (
     ConvergenceError,
@@ -443,6 +444,72 @@ def test_a_block_check_is_one_rhs_call():
     assert len(stacked) >= 4
     assert max(rows for _, rows, _ in calls) <= stack_rows(20) == 819
     assert all(calls[i][2] == calls[i - 1][2] for i in stacked)
+
+
+def _fresh_chord_scan(M, c, powers=None):
+    """_chord_scan as a doubling scan that builds the powers of P = 2M - I
+    anew on every call and ignores any kept ones."""
+    d = c @ M.T
+    P, h = 2.0 * M - np.eye(len(M)), 1
+    while h < len(d):
+        d[h:] += d[:-h] @ P.T
+        P, h = P @ P, 2 * h
+    return d
+
+
+def test_chord_scan_with_kept_powers_is_the_fresh_scan_bit_for_bit():
+    # one powers list serves scans of every length: each extends it as far
+    # as it needs and later ones read it; M is a Cayley map of a skew
+    # matrix, so P is orthogonal and its powers stay of order one
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((4, 4))
+    M = np.linalg.inv(np.eye(4) - 0.05 * (A - A.T))
+    powers = []
+    for rows in (1, 2, 3, 17, 4096, 17, 3):
+        c = rng.standard_normal((rows, 4))
+        kept = modred.integrator._chord_scan(M, c.copy(), powers)
+        assert kept.tobytes() == _fresh_chord_scan(M, c.copy()).tobytes()
+    assert len(powers) == 12
+
+
+def _solved_with_kept_and_fresh_powers(monkeypatch, sys, part):
+    """(states, rhs calls) of solve_cg1 as shipped and with _chord_scan
+    building the powers of P anew on every call."""
+    runs = []
+    for scan in (modred.integrator._chord_scan, _fresh_chord_scan):
+        monkeypatch.setattr(modred.integrator, "_chord_scan", scan)
+        counted, counts = rhs_counted(sys)
+        runs.append((solve_cg1(counted, part).states, counts["calls"]))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _simple_fit_window,
+        _lattice_p2_reduced,
+        lambda _: (forced_oscillator(), TimePartition.uniform(0.0, 0.5, 1e-4)),
+    ],
+    ids=["simple-fit-window", "lattice-p2-reduced", "forced-oscillator"],
+)
+def test_kept_powers_change_no_bit_of_a_block_solve(monkeypatch, simple_reduced, case):
+    sys, part = case(simple_reduced)
+    assert sys.dimension < BLOCK_CROSSOVER
+    (kept, kept_calls), (fresh, fresh_calls) = _solved_with_kept_and_fresh_powers(monkeypatch, sys, part)
+    assert kept.tobytes() == fresh.tobytes()
+    assert kept_calls == fresh_calls
+
+
+def test_no_power_of_p_carries_over_from_one_solve_to_the_next(monkeypatch):
+    # the fit window of kappa = 1e18 and then that of kappa = 1e16 in one
+    # process: the second solve's blocks scan with its own chord matrix only
+    solve_cg1(make_simple_model(1e18), TimePartition.uniform(0.0, 2e-7, 2e-10))
+    part = TimePartition.uniform(0.0, 2e-6, 2e-9)
+    (kept, kept_calls), (fresh, fresh_calls) = _solved_with_kept_and_fresh_powers(
+        monkeypatch, make_simple_model(1e16), part
+    )
+    assert kept.tobytes() == fresh.tobytes()
+    assert kept_calls == fresh_calls
 
 
 def test_fixed_point_tolerance_is_respected():
