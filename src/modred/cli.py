@@ -472,6 +472,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
             f"estimate with the reduced_step that `modred reduce` used"
         )
     psi = parse_psi(cfg.psi, system.dimension)
+    _control_times(cfg)  # refuses a T too short for control points before the re-solve
 
     traj = solve_cg1(assemble_reduced(system, model), part)
     if traj.times[-1] != final_time or traj.states[-1].tobytes() != final_state.tobytes():

@@ -4,10 +4,14 @@ scheme is the implicit midpoint method,
 
     U_j = U_{j-1} + k_j * f((U_{j-1} + U_j)/2, t_{j-1} + k_j/2),
 
-solved on each interval by chord Newton from U_{j-1}: v += M (g - v) with
+solved on each interval by chord Newton: v += M (g - v) with
 g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid), M = inv(I - (k/2) J), J taken lazily
 and refreshed after CHORD_REFRESH corrections (Hairer & Wanner, Solving ODEs II,
-IV.8).  A step too large for the fastest scale ((k/2) J of spectral radius >= 1) raises.
+IV.8).  The iteration starts from U_{j-1} until a step has set M, and then from
+the last increment carried through the midpoint propagator P = 2M - I,
+v = U_{j-1} + P (U_{j-1} - U_{j-2}), which is the step itself for a linear
+autonomous system.  A step too large for the fastest scale ((k/2) J of
+spectral radius >= 1) raises.
 
 Below BLOCK_CROSSOVER components the solve also steps blocks of up to
 stack_rows(N) intervals at a time, so that a block's check is one rhs call of
@@ -155,8 +159,8 @@ def _predicted_steps(
     fixed over the block, and is checked by one rhs batch at its midpoints.
     The defects r_j = U_{j-1} + k f(mid_j) - U_j of the passing prefix drive
     one last chord correction, as a step solved alone returns g after its
-    check.  f at u is the first evaluation of a step solved alone, so its
-    errors are that step's; an evaluation at a predicted midpoint that fails
+    check.  f at u, a stored node, raises as an evaluation of a step solved
+    alone does; an evaluation at a predicted midpoint of the block that fails
     in any way passes no step.
     """
     r1 = k[0] * evaluate_rhs(sys, u[None], t_mids[:1])
@@ -175,7 +179,9 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
     """Integrate the system over the given partition with cG(1).
 
     Every returned node U_j meets the midpoint relation: a step solved alone
-    returns g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <=
+    iterates from v = U_{j-1}, or, once a chord matrix M is set, from its
+    prediction U_{j-1} + (2M - I)(U_{j-1} - U_{j-2}), and returns
+    g = U_{j-1} + k f((U_{j-1} + v)/2, t_mid) with ||g - v|| <=
     FIXED_POINT_TOL * max(1, ||g||); a step taken in a block (systems
     of fewer than BLOCK_CROSSOVER components) passes the same check at its
     predicted node v and returns v plus the block's chord correction from
@@ -223,9 +229,13 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                     ceiling = block = block // 2
                 continue
             k, t_mid = steps[j - 1], mids[j - 1]
-            # The first midpoint 0.5 * (u_prev + u_prev) is u_prev bit for bit
-            # (short of overflow), so f is first evaluated at the stored node.
+            # Until a step sets M (so at step 1) f is first evaluated at the
+            # stored node itself; after, v adds the last increment carried through P = 2M - I.
             v = mid = u_prev
+            if M is not None:
+                d = u_prev - states[j - 2]
+                v = u_prev + (2.0 * (M @ d) - d)
+                mid = 0.5 * (u_prev + v)
             for it in range(MAX_CHORD_ITERS):
                 if it:
                     mid = 0.5 * (u_prev + v)

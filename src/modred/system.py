@@ -41,8 +41,8 @@ class DynamicalSystem:
     time partition sets the span it covers.
 
     ``rhs(u, t)`` must return a length-``dimension`` vector and must not mutate
-    its arguments: solve_cg1 passes a stored node itself, U_{j-1} for the
-    first evaluation of each step solved alone.  ``jacobian(u, t)``, if
+    its arguments: solve_cg1 passes a stored node itself, U_0 for the first
+    evaluation of the first step solved alone.  ``jacobian(u, t)``, if
     given, returns the N x N matrix with entry (i, j) = d f_i / d u_j;
     otherwise central finite differences are used.
     ``oscillator_pairs`` lists (position, velocity) index pairs of fast

@@ -747,16 +747,20 @@ def test_bad_psi_fails_before_the_dual(tmp_path, capsys, psi, problem):
 
 def test_estimate_with_T_too_short_for_control_points_fails_before_the_dual(tmp_path, capsys, monkeypatch):
     # the control-point window is checked with the other config values, not
-    # after a full backward dual solve
+    # after the re-solve of the reduced model or a full backward dual solve
     cfg = tmp_path / "s.cfg"
     assert run_cli("example", "simple", "-o", cfg) == 0
     cfg.write_text(cfg.read_text().replace("output = simple_run", f"output = {tmp_path/'short'}"))
     assert run_cli("reduce", cfg, "--T", "3e-7") == 0
 
-    def no_dual(*args):
-        raise AssertionError("solve_dual called")
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(modred.cli, "solve_dual", no_dual)
+        return call
+
+    monkeypatch.setattr(modred.cli, "solve_dual", refused("solve_dual"))
+    monkeypatch.setattr(modred.cli, "solve_cg1", refused("solve_cg1"))
     capsys.readouterr()
     assert run_cli("estimate", cfg, "--T", "3e-7") == 1
     assert "T too short for control points (need T > 4 * tau)" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import modred.dual
+import modred.integrator
 from conftest import forced_oscillator, rotation_exact, rotation_system
 from modred import (
     ControlPoint,
@@ -286,6 +287,32 @@ def test_dual_takes_one_jacobian_state_per_step(build, monkeypatch):
     assert sum(rows) == len(phi) - 1
     assert (max(rows) > 1) == (build is _reduced_simple_dual_problem)
     _assert_close(phi, _dual_reference(dp, 0.01))
+
+
+def test_dual_of_the_reduced_lattice_takes_two_backward_rhs_calls_per_step(monkeypatch):
+    # the example lattice's reduced model over [0, 20] at step 0.05 (52
+    # components): step 1 evaluates at psi and at its chord correction, each
+    # later step at its predicted midpoint and at one correction, so 800 calls
+    # over 400 steps, where a start at the previous node took 1,199
+    sys = make_lattice(LatticeSpec(p=3, m=1e-4))
+    reduced, _, _ = auto_model(sys, 1.0, 0.002)
+    U = solve_cg1(reduced, TimePartition.uniform(0.0, 20.0, 0.05))
+    calls = []
+    solve = modred.integrator.solve_cg1
+
+    def counted(backward, part, opts=None):
+        rhs = backward.rhs
+
+        def counted_rhs(phi, s):
+            calls.append(s)
+            return rhs(phi, s)
+
+        return solve(dataclasses.replace(backward, rhs=counted_rhs), part, opts)
+
+    monkeypatch.setattr(modred.integrator, "solve_cg1", counted)
+    phi = solve_dual(DualProblem(primal=U, sys=reduced, psi=np.eye(sys.dimension)[0]), 0.05)
+    assert sys.dimension >= BLOCK_CROSSOVER
+    assert len(calls) == 2 * (len(phi.times) - 1) == 800
 
 
 @pytest.mark.parametrize("build", [_reduced_simple_dual_problem, _simple_dual_problem])

@@ -38,17 +38,17 @@ PINNED = {
         "controls.txt": "1f11494e7e0d9b3ee468719fc4a334263a7cdc52c77ae9a557ccfc972e615b28",
     },
     "lattice": {
-        "csv": "b0ef413caf6085fbe167de3ed1b8a06c50d1620d182df5e8c8cf894cbb5edcd6",
-        "model.txt": "9ad609c7640e1d4d6f008796eb70ce91efc89f521107ebbf1c2cbbb81e0e8c5a",
-        "estimate.txt": "ce11d5266f76c7a1d7b8b53d3a5e76f22f4bef681f04f3b26dbf92ac38384f2f",
-        "controls.txt": "045acef9ff7848a6759fcd7192c1f887e760ce8163a22a61de0d6c8c8ffa11fc",
+        "csv": "afb890c8f5a0c8cf68d5d5348501fe5acd242562c3b06e1560afe568c398379f",
+        "model.txt": "e5a40efe0b89e1e78e7bc0d3fc9b0baf734cff2f12588c03e9a38a4475eb02df",
+        "estimate.txt": "c35f7cc197ed0e5ebe8be54538312e8c4dfad221c64eab6562ed2528fe840c29",
+        "controls.txt": "bd6e7d52febee17b7dd813c0c8b7c0f74460c2946ff1a37362d9601d8e2ffee3",
     },
 }
 
 # (upper bound on rhs rows, exact Jacobian calls) over reduce + estimate.
 WORK = {
     "simple": (17_855, 1_007),
-    "lattice": (32_152, 407),
+    "lattice": (26_769, 407),
 }
 
 

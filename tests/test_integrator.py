@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import modred.integrator
-from conftest import forced_oscillator, rhs_counted, rotation_system
+from conftest import forced_oscillator, linear_system, rhs_counted, rotation_system
 from modred import (
     ConvergenceError,
     DynamicalSystem,
@@ -168,9 +168,10 @@ def test_chord_newton_matches_damped_fixed_point_on_fit_windows(sys, tau, step):
 
 def _per_step_chord(sys, part, tol=1e-12):
     """Nodal states by solve_cg1's per-step chord loop, the path of every
-    step taken alone: each interval iterated from U_{j-1} with one chord
-    matrix per solve, refreshed after CHORD_REFRESH corrections, and a step
-    whose (k/2) J has spectral radius >= 1 rejected."""
+    step taken alone: each interval iterated from U_{j-1} until a chord
+    matrix M is set, and from U_{j-1} + (2M - I)(U_{j-1} - U_{j-2}) after,
+    with one chord matrix per solve, refreshed after CHORD_REFRESH
+    corrections, and a step whose (k/2) J has spectral radius >= 1 rejected."""
     times = part.times
     states = [sys.initial_value]
     M = None
@@ -178,6 +179,9 @@ def _per_step_chord(sys, part, tol=1e-12):
         k = times[j] - times[j - 1]
         t_mid = times[j - 1] + 0.5 * k
         u_prev = v = states[-1]
+        if M is not None:
+            d = u_prev - states[-2]
+            v = u_prev + (2.0 * (M @ d) - d)
         for it in range(MAX_CHORD_ITERS):
             g = u_prev + k * np.asarray(sys.rhs(0.5 * (u_prev + v), t_mid))
             res = np.linalg.norm(g - v)
@@ -248,26 +252,76 @@ def test_block_path_agrees_with_the_per_step_loop(simple_reduced, case, max_call
     assert np.max(_midpoint_defects(block, sys)) <= 1.0
 
 
-def test_a_step_solved_alone_first_evaluates_f_at_the_previous_node():
-    # 0.5 * (u + u) is u bit for bit, so the first chord evaluation of each
-    # step is at U_{j-1} itself and the window makes the rhs calls the
-    # midpoint form made: 4,446 for this p=3 window
+def test_a_step_solved_alone_first_evaluates_f_at_its_predicted_midpoint(monkeypatch):
+    # step 1 first evaluates f at U_0 itself, 0.5 * (u + u) being u bit for
+    # bit; each later step at the midpoint of U_{j-1} and its prediction
+    # U_{j-1} + (2M - I)(U_{j-1} - U_{j-2}), M the chord matrix in force, so
+    # this p=3 window makes 3,533 rhs calls where a start at U_{j-1} made 4,446
     sys = make_lattice(LatticeSpec(p=3, m=1e-4))
     assert sys.dimension >= BLOCK_CROSSOVER
     part = TimePartition.uniform(0.0, 2.0, 0.002)
-    calls = []
-    rhs = sys.rhs
+    events = []  # (t, u) per rhs call, (None, M) per chord matrix
+    rhs, chord_matrix = sys.rhs, modred.integrator._chord_matrix
 
     def recorded(u, t):
-        calls.append((t, u.copy()))
+        events.append((t, u.copy()))
         return rhs(u, t)
 
-    traj = solve_cg1(dataclasses.replace(sys, rhs=recorded), part)
+    def recorded_matrix(*args):
+        M, rho = chord_matrix(*args)
+        events.append((None, M))
+        return M, rho
+
+    monkeypatch.setattr(modred.integrator, "_chord_matrix", recorded_matrix)
+    U = solve_cg1(dataclasses.replace(sys, rhs=recorded), part).states
     # every call of a step is at that step's t_mid, so a new t starts a step
-    firsts = np.array([u for i, (t, u) in enumerate(calls) if i == 0 or t != calls[i - 1][0]])
+    firsts, expected, M, t_last = [], [U[0]], None, None
+    for t, x in events:
+        if t is None:
+            M = x
+        elif t != t_last:
+            firsts.append(x)
+            if len(firsts) > 1:
+                j = len(firsts)
+                d = U[j - 1] - U[j - 2]
+                expected.append(0.5 * (U[j - 1] + (U[j - 1] + (2.0 * (M @ d) - d))))
+            t_last = t
     assert len(firsts) == len(part.times) - 1
-    np.testing.assert_array_equal(firsts.view(np.int64), traj.states[:-1].view(np.int64))
-    assert len(calls) == 4446
+    np.testing.assert_array_equal(np.array(firsts).view(np.int64), np.array(expected).view(np.int64))
+    assert len(events) - sum(t is None for t, _ in events) == 3533
+
+
+def test_a_linear_autonomous_system_solved_alone_passes_each_later_step_at_its_prediction():
+    # for u' = A u the prediction is the midpoint step itself, so after step
+    # 1 (f at U_0, then at its chord correction) every step passes its first
+    # check: 12 rotations in 24 components take 1,001 rhs calls over 1,000
+    # steps, where a start at U_{j-1} took 2 per step
+    A = np.kron(np.diag(np.arange(1.0, 13.0)), [[0.0, 1.0], [-1.0, 0.0]])
+    sys = linear_system(A, np.tile([1.0, 0.0], 12))
+    assert sys.dimension == BLOCK_CROSSOVER
+    counted, counts = rhs_counted(sys)
+    traj = solve_cg1(counted, TimePartition.uniform(0.0, 10.0, 0.01))
+    assert counts["calls"] == 1001
+    assert np.max(_midpoint_defects(traj, sys)) <= 1.0
+
+
+@pytest.fixture(scope="module", params=[3, 6], ids=["p3", "p6"])
+def lattice_window_and_reduced_solve(request):
+    """(system, solve) for the example lattice's fit window and for its
+    reduced solve over [0, 20] at step 0.05, at p=3 and p=6."""
+    sys = make_lattice(LatticeSpec(p=request.param, m=1e-4))
+    reduced, _, resolved = auto_model(sys, 1.0, 0.002)
+    assert sys.dimension >= BLOCK_CROSSOVER
+    return (sys, resolved), (reduced, solve_cg1(reduced, TimePartition.uniform(0.0, 20.0, 0.05)))
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["window", "reduced-solve"])
+def test_predicted_steps_of_the_lattice_meet_the_midpoint_relation(lattice_window_and_reduced_solve, which):
+    # a step that passes at its first check returns g from the predicted
+    # midpoint; the node still meets the midpoint relation to the tolerance
+    # (measured: at most 0.018 of it)
+    sys, traj = lattice_window_and_reduced_solve[which]
+    assert np.max(_midpoint_defects(traj, sys)) <= 1.0
 
 
 def _small_beside_large(c3):
