@@ -19,10 +19,15 @@ a vectorized system.  A block predicts its nodes with the solve's chord
 matrix by one doubling scan (Blelloch, "Prefix sums and their applications",
 1990), checks them all by one rhs batch at their midpoints, and keeps the
 prefix that meets the per-step stopping rule, after one chord correction of
-that prefix from the defects the check found; a whole pass doubles the
-block, anything else halves it for the rest of the solve.  The correction
-does for a block what returning g does for a step solved alone: a node
-passes with a defect up to the tolerance, and leaves with a contracted one.
+that prefix from the defects the check found.  A whole pass doubles the
+block.  A block that passes more than one step sets the next to the steps it
+passed, and passes double it again, as a step-size controller lets a
+rejected step grow back: the simple model's window blocks fail on roundoff,
+where u4, up to 1e9, crosses zero and the whole-state tolerance dips.  A
+block that passes at most one step is no cheaper than a step solved alone,
+and ends blocks for the solve.  The correction does for a block what
+returning g does for a step solved alone: a node passes with a defect up to
+the tolerance, and leaves with a contracted one.
 The two paths agree to the tolerance, not to roundoff.  The scan's powers of
 P = 2M - I are taken once per chord matrix: the solve keeps them for its
 blocks and discards them when a refresh sets a new M.  A block evaluates no
@@ -68,19 +73,33 @@ BLOCK_CROSSOVER = 24
 
 
 class ConvergenceError(RuntimeError):
-    """A step did not converge, or its (k/2) J has spectral radius ``contraction`` >= 1."""
+    """A step did not converge, or its (k/2) J has spectral radius ``contraction`` >= 1;
+    then ``components`` ranks the components (0-based) by their weight in the
+    fastest mode, largest first, and the message names the first, with its
+    declared oscillator partner, and the step k / contraction below which
+    (k/2) J falls under 1."""
 
-    def __init__(self, interval: int, t_end: float, residual: float, contraction: float | None = None):
+    def __init__(
+        self, interval: int, t_end: float, residual: float, contraction: float | None = None,
+        components: tuple[int, ...] = (), limit: float = math.nan, pairs: tuple[tuple[int, int], ...] = (),
+    ):
         self.interval = interval
         self.t_end = t_end
         self.residual = residual
         self.contraction = contraction
+        self.components = components
         cause = f"did not converge (last residual norm {residual:.3e})"
         if contraction is not None:
             cause = f"is too large (spectral radius of (k/2)J estimated at {contraction:.3e} >= 1)"
+        fastest = ""
+        if components:
+            i = components[0]
+            partners = ", ".join(f"u{a + b - i + 1}" for a, b in pairs if i in (a, b))
+            named = f"u{i + 1} (oscillator partner {partners})" if partners else f"u{i + 1}"
+            fastest = f"; its fastest component is {named}, and (k/2)J falls under 1 below step {limit:.3e}"
         super().__init__(
             f"cG(1) step on interval {interval} (ending at t={t_end:.6g}) {cause}; "
-            f"the step must resolve the fastest active time scale"
+            f"the step must resolve the fastest active time scale{fastest}"
         )
 
 
@@ -117,9 +136,11 @@ class TimePartition:
         return np.diff(self.times)
 
 
-def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[Array, float]:
-    """inv(I - (k/2) J) at (u, t) and the spectral radius of (k/2) J, estimated by
-    20 power steps on its square from a fixed start (a pair +-i*w converges too)."""
+def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[Array, float, Array]:
+    """inv(I - (k/2) J) at (u, t), the spectral radius rho of (k/2) J, estimated by
+    20 power steps on its square from a fixed start (a pair +-i*w converges too),
+    and each component's weight in the fastest mode, |x| + |(k/2) J x| / rho
+    for the last power vector x."""
     A = jacobian(sys, u, t) * (-0.5 * k)
     x = np.linspace(1.0, 2.0, len(A))
     for _ in range(20):
@@ -128,8 +149,10 @@ def _chord_matrix(sys: DynamicalSystem, u: Array, t: float, k: float) -> tuple[A
         if not 0.0 < growth < np.inf:
             break
         x = y / growth
+    rho = float(np.sqrt(growth))
+    weights = np.abs(x) + np.abs(A @ x) / rho
     A.flat[:: len(A) + 1] += 1.0
-    return np.linalg.inv(A), float(np.sqrt(growth))
+    return np.linalg.inv(A), rho, weights
 
 
 def _chord_scan(M: Array, c: Array, powers: list[Array]) -> Array:
@@ -187,13 +210,17 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
     predicted node v and returns v plus the block's chord correction from
     those defects.  A block spans at most stack_rows(N) steps, so its check
     is one rhs call of a vectorized system, and starts after a step solved
-    alone has set the chord matrix, so a system at rest steps alone.
-    Raises ConvergenceError when a step is too large or does not converge,
-    and EvaluationError, naming t and the component, for a non-finite rhs
-    value, both for the interval a step solved alone names.  An rhs
-    evaluation at a predicted node that fails, by a non-finite value or by
-    any exception, only shrinks the block.  ``opts`` keeps the call shape
-    solve_cg1(sys, part, opts) and must be None.
+    alone has set the chord matrix, so a system at rest steps alone.  A
+    whole pass doubles the next block, a block that passes more than one
+    step sets the next to the steps it passed, and one that passes at most
+    one step leaves the rest of the solve to steps solved alone.
+    Raises ConvergenceError when a step is too large, naming the fastest
+    mode's components, or does not converge, and EvaluationError, naming t
+    and the component, for a non-finite rhs value, both for the interval a
+    step solved alone names.  An rhs evaluation at a predicted node that
+    fails, by a non-finite value or by any exception, only shrinks the
+    block.  ``opts`` keeps the call shape solve_cg1(sys, part, opts) and
+    must be None.
     """
     if opts is not None:
         raise TypeError(f"solve_cg1 takes no options; its tolerance is FIXED_POINT_TOL, got {opts!r}")
@@ -225,8 +252,10 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                 u_prev = states[j - 1]
                 if len(accepted) == m:
                     block = min(2 * block, ceiling)
+                elif len(accepted) > 1:
+                    block = len(accepted)
                 else:
-                    ceiling = block = block // 2
+                    ceiling = block = 1
                 continue
             k, t_mid = steps[j - 1], mids[j - 1]
             # Until a step sets M (so at step 1) f is first evaluated at the
@@ -249,10 +278,13 @@ def solve_cg1(sys: DynamicalSystem, part: TimePartition, opts: None = None) -> T
                 if res <= FIXED_POINT_TOL * max(1.0, math.sqrt(g.dot(g))):
                     break
                 if M is None or (it and it % CHORD_REFRESH == 0):
-                    M, rho = _chord_matrix(sys, mid, t_mid, k)
+                    M, rho, weights = _chord_matrix(sys, mid, t_mid, k)
                     powers = []
                     if not rho < 1.0:
-                        raise ConvergenceError(j, float(times[j]), res, rho)
+                        fast = tuple(np.argsort(-weights, kind="stable").tolist())
+                        raise ConvergenceError(
+                            j, float(times[j]), res, rho, fast, k / rho, sys.oscillator_pairs
+                        )
                 v = v + M @ r
             else:
                 raise ConvergenceError(j, float(times[j]), res)

@@ -67,6 +67,17 @@ def test_a_unit_of_time_changes_no_bit(examples, name, k):
     assert _bits(estimate_c.total) == _bits(estimate.total)
 
 
+def _in_state_unit(system, c):
+    """system with u -> c u: f(u) -> c f(u / c), J(u) -> J(u / c), u0 -> c u0."""
+    rhs, jac = system.rhs, system.jacobian
+    return dataclasses.replace(
+        system,
+        rhs=lambda u, t: c * rhs(u / c, t),
+        initial_value=c * system.initial_value,
+        jacobian=None if jac is None else lambda u, t: jac(u / c, t),
+    )
+
+
 def _item_22(name, k, raises):
     return pytest.param(
         name, k,
@@ -92,14 +103,25 @@ def _item_22(name, k, raises):
 def test_a_unit_of_state_scales_the_run(examples, name, k):
     cfg, system, model, traj, estimate = examples[name]
     c = 2.0**k
-    rhs, jac = system.rhs, system.jacobian
-    scaled = dataclasses.replace(
-        system,
-        rhs=lambda u, t: c * rhs(u / c, t),
-        initial_value=c * system.initial_value,
-        jacobian=None if jac is None else lambda u, t: jac(u / c, t),
-    )
-    model_c, traj_c, estimate_c = _pipeline(scaled, cfg)
+    model_c, traj_c, estimate_c = _pipeline(_in_state_unit(system, c), cfg)
     np.testing.assert_array_equal(model_c.active, model.active)
     np.testing.assert_array_equal(_bits(traj_c.states), _bits(c * traj.states))
     assert _bits(estimate_c.total) == _bits(c * estimate.total)
+
+
+def test_a_step_too_large_names_its_fastest_component(examples):
+    # at c = 2^10 nothing freezes, and the reduced solve's first step has
+    # (k/2) J of spectral radius 5e7: the error ranks the oscillator's
+    # velocity u4 first and its position u2 second (weights 1 and 1e-9 in
+    # the fastest mode), and names the step k / rho below which the solve
+    # would resolve it
+    cfg, system, *_ = examples["simple"]
+    with pytest.raises(ConvergenceError) as exc:
+        _pipeline(_in_state_unit(system, 2.0**10), cfg)
+    assert exc.value.interval == 1
+    assert exc.value.contraction == pytest.approx(5e7, rel=1e-6)
+    assert exc.value.components[:2] == (3, 1)
+    assert sorted(exc.value.components) == [0, 1, 2, 3]
+    assert str(exc.value).endswith(
+        "its fastest component is u4 (oscillator partner u2), and (k/2)J falls under 1 below step 2.000e-09"
+    )
